@@ -37,22 +37,20 @@ GlobalProtocol::nodeOwns(NodeId node, Addr block) const
     // Every caller probes state the node itself is home for (or
     // runs with a single shard), so the node's shard is the block's.
     const Directory &d = dirs_.size() == 1 ? dirs_[0] : dirFor(node);
-    const DirEntry *e = d.peek(block & ~(Addr(p.blockSize) - 1));
-    return e && e->owner == node;
+    const ConstDirEntry e = d.peek(block & ~(Addr(p.blockSize) - 1));
+    return e && e.owner() == node;
 }
 
 bool
 GlobalProtocol::onlyHolder(NodeId node, Addr block) const
 {
     const Directory &d = dirs_.size() == 1 ? dirs_[0] : dirFor(node);
-    const DirEntry *e = d.peek(block & ~(Addr(p.blockSize) - 1));
+    const ConstDirEntry e = d.peek(block & ~(Addr(p.blockSize) - 1));
     if (!e)
         return true;
-    if (e->hasOwner() && e->owner != node)
+    if (e.hasOwner() && e.owner() != node)
         return false;
-    auto others = e->sharers;
-    others.reset(node);
-    return others.none();
+    return e.sharers.noneExcept(node);
 }
 
 std::uint64_t
@@ -78,16 +76,16 @@ GlobalProtocol::fetchConfined(NodeId requester, Addr block,
                               bool write, NodeId lo, NodeId hi) const
 {
     block = block & ~(Addr(p.blockSize) - 1);
-    const DirEntry *e = dirFor(requester).peek(block);
+    const ConstDirEntry e = dirFor(requester).peek(block);
     if (!e)
         return true; // first touch of the block: purely local fill
     // A dirty third-node owner means a forward (and on reads a
     // downgrade) to that node.
-    if (e->hasOwner() && e->owner != requester &&
-        (e->owner < lo || e->owner >= hi))
+    if (e.hasOwner() && e.owner() != requester &&
+        (e.owner() < lo || e.owner() >= hi))
         return false;
     // Writes invalidate every apparent sharer.
-    if (write && !e->sharers.withinRange(lo, hi))
+    if (write && !e.sharers.withinRange(lo, hi))
         return false;
     return true;
 }
@@ -96,9 +94,9 @@ bool
 GlobalProtocol::wouldRefetch(NodeId requester, Addr block) const
 {
     block = block & ~(Addr(p.blockSize) - 1);
-    const DirEntry *e = dirFor(requester).peek(block);
-    return e && (e->sharers.test(requester) ||
-                 e->prior.test(requester) || e->owner == requester);
+    const ConstDirEntry e = dirFor(requester).peek(block);
+    return e && (e.sharers.test(requester) ||
+                 e.prior.test(requester) || e.owner() == requester);
 }
 
 MissKind
@@ -111,7 +109,7 @@ GlobalProtocol::classify(const DirEntry &e, NodeId requester,
         return MissKind::Coherence;
     }
     if (e.sharers.test(requester) || e.prior.test(requester) ||
-        e.owner == requester) {
+        e.owner() == requester) {
         // The directory believes the node already has the block: the
         // node lost it to capacity or conflict (Section 3.1).
         return MissKind::Refetch;
@@ -127,7 +125,7 @@ GlobalProtocol::fetch(Tick now, NodeId requester, Addr block,
 {
     block = blockAlign(block);
     NodeId home = homeOf(block);
-    DirEntry &e = dirFor(home).entry(block);
+    DirEntry e = dirFor(home).entry(block);
 
     FetchResult res;
     res.kind = classify(e, requester, type);
@@ -149,8 +147,8 @@ GlobalProtocol::fetch(Tick now, NodeId requester, Addr block,
     // Data acquisition: three-hop forward from a dirty owner, or a
     // home memory access.
     Tick data_at = t;
-    if (need_data && e.hasOwner() && e.owner != requester) {
-        NodeId owner = e.owner;
+    if (need_data && e.hasOwner() && e.owner() != requester) {
+        NodeId owner = e.owner();
         Tick f = net.send(t, home, owner, MsgKind::Forward);
         f = controllers[owner].acquire(f) + p.sramAccess;
         // The dirty data returns home asynchronously.
@@ -163,7 +161,7 @@ GlobalProtocol::fetch(Tick now, NodeId requester, Addr block,
         } else {
             sink.downgradeNodeCopy(owner, block);
             e.sharers.set(owner);
-            e.owner = invalidNode;
+            e.setOwner(invalidNode);
         }
     } else if (need_data) {
         data_at = mems[home]->access(t, block);
@@ -184,7 +182,7 @@ GlobalProtocol::fetch(Tick now, NodeId requester, Addr block,
         // Every true sharer is always covered.
         Tick worst_wire = 0;
         for (NodeId m = 0; m < p.numNodes; ++m) {
-            bool holds = e.sharers.test(m) || e.owner == m;
+            bool holds = e.sharers.test(m) || e.owner() == m;
             if (!holds || m == requester)
                 continue;
             sink.invalidateNodeCopy(m, block);
@@ -211,14 +209,14 @@ GlobalProtocol::fetch(Tick now, NodeId requester, Addr block,
     if (write) {
         e.sharers.reset();
         e.sharers.set(requester);
-        e.owner = requester;
+        e.setOwner(requester);
         res.exclusiveGrant = true;
     } else {
-        if (e.owner == requester) {
+        if (e.owner() == requester) {
             // Defensive: a read request from the registered owner
             // means local state was lost without notification; treat
             // the home copy as current and clear ownership.
-            e.owner = invalidNode;
+            e.setOwner(invalidNode);
         }
         e.sharers.set(requester);
         res.exclusiveGrant = e.sharerCount() == 1 && !e.hasOwner();
@@ -236,9 +234,9 @@ GlobalProtocol::writeback(Tick now, NodeId from, Addr block)
 {
     block = blockAlign(block);
     NodeId home = homeOf(block);
-    DirEntry &e = dirFor(home).entry(block);
-    if (e.owner == from) {
-        e.owner = invalidNode;
+    DirEntry e = dirFor(home).entry(block);
+    if (e.owner() == from) {
+        e.setOwner(invalidNode);
         e.sharers.reset(from);
         // Remember the voluntary writeback so a later re-request is
         // classified as a read-write refetch (Section 3.1). The
@@ -254,11 +252,11 @@ GlobalProtocol::flushBlock(Tick now, NodeId from, Addr block, bool dirty)
 {
     block = blockAlign(block);
     NodeId home = homeOf(block);
-    DirEntry &e = dirFor(home).entry(block);
+    DirEntry e = dirFor(home).entry(block);
     e.sharers.reset(from);
     e.prior.reset(from);
-    if (e.owner == from)
-        e.owner = invalidNode;
+    if (e.owner() == from)
+        e.setOwner(invalidNode);
     net.post(now, from, home, MsgKind::Flush);
     (void)dirty;
 }

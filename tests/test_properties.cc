@@ -125,17 +125,35 @@ TEST(Properties, RnumaNeverWorseThanBothOnMicrobenchmarks)
 namespace
 {
 
+/**
+ * Walk every live directory entry and check the ownership
+ * invariants: a dirty owner always has its sharer bit, and where the
+ * set is exact (full-map, or limited-pointer before overflow) it is
+ * the only sharer. The walk must visit exactly size() entries.
+ */
 void
-checkDirectoryInvariants(Machine &m, const Params &p)
+checkDirectoryInvariants(Machine &m)
 {
     const Directory &dir = m.protocol().directory();
-    (void)p;
-    // Walk every entry via peek on the machine's recorded pages is
-    // not exposed; instead re-verify through nodeOwns consistency on
-    // a sample of blocks would need the map. The Directory exposes
-    // size only; rely on per-entry checks during the run (panics) and
-    // check global sanity here.
-    EXPECT_GE(dir.size(), 0u);
+    const SharerFormat fmt = dir.config().format;
+    std::size_t walked = 0;
+    dir.forEachLive([&](Addr block, ConstDirEntry e) {
+        ++walked;
+        if (!e.hasOwner())
+            return;
+        EXPECT_TRUE(e.sharers.test(e.owner()))
+            << "owner without sharer bit at block " << block;
+        const bool exact = fmt == SharerFormat::FullMap ||
+            (fmt == SharerFormat::LimitedPointer &&
+             !e.sharers.overflowed());
+        if (exact) {
+            EXPECT_EQ(e.sharerCount(), 1u)
+                << "dirty owner must be the sole sharer at block "
+                << block;
+        }
+    });
+    EXPECT_EQ(walked, dir.size());
+    EXPECT_GT(walked, 0u);
 }
 
 } // namespace
@@ -147,17 +165,43 @@ TEST(Properties, OwnerImpliesSharerBit)
     wl->reset();
     Machine m(p, Protocol::RNuma, *wl);
     m.run();
-    checkDirectoryInvariants(m, p);
+    checkDirectoryInvariants(m);
     // Spot-check the shared page's blocks through the public API.
     for (std::size_t blk = 0; blk < p.blocksPerPage(); ++blk) {
         Addr a = static_cast<Addr>(blk) * p.blockSize;
-        const DirEntry *e = m.protocol().directory().peek(a);
-        if (!e || !e->hasOwner())
+        const ConstDirEntry e = m.protocol().directory().peek(a);
+        if (!e || !e.hasOwner())
             continue;
-        EXPECT_TRUE(e->sharers.test(e->owner))
+        EXPECT_TRUE(e.sharers.test(e.owner()))
             << "owner without sharer bit at block " << a;
-        EXPECT_EQ(e->sharerCount(), 1u)
+        EXPECT_EQ(e.sharerCount(), 1u)
             << "dirty owner must be the sole sharer";
+    }
+}
+
+TEST(Properties, DirectoryInvariantsHoldAfterAppInEveryFormat)
+{
+    // A Figure 6 app on the paper's machine, under each base
+    // protocol and R-NUMA, with each sharer format. Two pointers and
+    // two-node regions make the sparse formats overflow and alias.
+    for (SharerFormat fmt :
+         {SharerFormat::FullMap, SharerFormat::LimitedPointer,
+          SharerFormat::CoarseVector}) {
+        Params p = test::paperParams();
+        p.dirFormat = fmt;
+        p.dirPointers = 2;
+        p.dirRegionSize = 2;
+        p.validate();
+        for (Protocol proto :
+             {Protocol::CCNuma, Protocol::SComa, Protocol::RNuma}) {
+            auto wl = makeApp("em3d", p, 0.05);
+            wl->reset();
+            Machine m(p, proto, *wl);
+            m.run();
+            SCOPED_TRACE(p.directoryId() + " " +
+                         std::to_string(static_cast<int>(proto)));
+            checkDirectoryInvariants(m);
+        }
     }
 }
 

@@ -114,15 +114,15 @@ TEST_F(ProtocolTest, VoluntaryWritebackMakesReadWriteRefetch)
     proto->fetch(0, 1, blk, ReqType::GetX);
     // Block-cache eviction of the dirty block: voluntary writeback.
     proto->writeback(500, 1, blk);
-    const DirEntry *e = proto->directory().peek(blk);
-    ASSERT_NE(e, nullptr);
-    EXPECT_FALSE(e->hasOwner());
-    EXPECT_TRUE(e->prior.test(1));
+    const ConstDirEntry e = proto->directory().peek(blk);
+    ASSERT_TRUE(e);
+    EXPECT_FALSE(e.hasOwner());
+    EXPECT_TRUE(e.prior.test(1));
     // Re-request from the prior owner is a refetch (the extra
     // directory state of Section 3.1).
     FetchResult r = proto->fetch(1000, 1, blk, ReqType::GetX);
     EXPECT_EQ(r.kind, MissKind::Refetch);
-    EXPECT_FALSE(proto->directory().peek(blk)->prior.test(1));
+    EXPECT_FALSE(proto->directory().peek(blk).prior.test(1));
 }
 
 TEST_F(ProtocolTest, NotifyingFlushPreventsRefetch)
@@ -139,9 +139,9 @@ TEST_F(ProtocolTest, FlushFromDirtyOwnerClearsOwnership)
 {
     proto->fetch(0, 1, blk, ReqType::GetX);
     proto->flushBlock(500, 1, blk, true);
-    const DirEntry *e = proto->directory().peek(blk);
-    EXPECT_FALSE(e->hasOwner());
-    EXPECT_FALSE(e->sharers.test(1));
+    const ConstDirEntry e = proto->directory().peek(blk);
+    EXPECT_FALSE(e.hasOwner());
+    EXPECT_FALSE(e.sharers.test(1));
 }
 
 TEST_F(ProtocolTest, UpgradeIsPermissionTrafficNotRefetch)
@@ -163,10 +163,10 @@ TEST_F(ProtocolTest, WriteInvalidatesAllOtherSharers)
     FetchResult w = proto->fetch(1000, 4, blk, ReqType::GetX);
     EXPECT_EQ(w.invalidations, 3);
     EXPECT_EQ(sink.invalidated.size(), 3u);
-    const DirEntry *e = proto->directory().peek(blk);
-    EXPECT_EQ(e->owner, 4u);
-    EXPECT_EQ(e->sharerCount(), 1u);
-    EXPECT_TRUE(e->sharers.test(4));
+    const ConstDirEntry e = proto->directory().peek(blk);
+    EXPECT_EQ(e.owner(), 4u);
+    EXPECT_EQ(e.sharerCount(), 1u);
+    EXPECT_TRUE(e.sharers.test(4));
 }
 
 TEST_F(ProtocolTest, ThreeHopForwardFromDirtyOwner)
@@ -176,10 +176,10 @@ TEST_F(ProtocolTest, ThreeHopForwardFromDirtyOwner)
     EXPECT_TRUE(r.threeHop);
     ASSERT_EQ(sink.downgraded.size(), 1u);
     EXPECT_EQ(sink.downgraded[0].first, 1u);
-    const DirEntry *e = proto->directory().peek(blk);
-    EXPECT_FALSE(e->hasOwner());
-    EXPECT_TRUE(e->sharers.test(1));
-    EXPECT_TRUE(e->sharers.test(2));
+    const ConstDirEntry e = proto->directory().peek(blk);
+    EXPECT_FALSE(e.hasOwner());
+    EXPECT_TRUE(e.sharers.test(1));
+    EXPECT_TRUE(e.sharers.test(2));
 }
 
 TEST_F(ProtocolTest, WriteToDirtyThirdNodeForwardsAndInvalidates)

@@ -1,13 +1,14 @@
 /**
  * @file
- * Tests for the pluggable directory sharer-set representations
- * (proto/directory.hh): full-map exactness, limited-pointer Dir_iB
- * broadcast-on-overflow, coarse-vector region semantics, the
- * over-approximation invariant both sparse formats must uphold
- * (a set node is always reported until a full reset), the per-entry
- * storage model, and machine-level bit-identity of limited-pointer
- * against full-map when the sharer count never exceeds the pointer
- * budget.
+ * Tests for the directory sharer-set formats (proto/directory.hh):
+ * full-map exactness, limited-pointer Dir_iB broadcast-on-overflow,
+ * coarse-vector region semantics, the over-approximation invariant
+ * both sparse formats must uphold (a set node is always reported
+ * until a full reset), a differential fuzz of the compact slot-vector
+ * representation against the original per-format oracle
+ * (sharer_set_oracle.hh), the per-entry storage model, and
+ * machine-level bit-identity of limited-pointer against full-map when
+ * the sharer count never exceeds the pointer budget.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "sim/runner.hh"
 #include "workload/micro.hh"
 
+#include "sharer_set_oracle.hh"
 #include "test_util.hh"
 
 namespace rnuma
@@ -38,12 +40,27 @@ cfgOf(SharerFormat fmt, std::size_t nodes, std::size_t ptrs = 4,
     return c;
 }
 
+/** A one-entry directory, to exercise the sets of its entry. */
+class OneEntry
+{
+  public:
+    explicit OneEntry(const DirConfig &cfg) : dir_(1, 1, cfg) {}
+
+    DirEntry entry() { return dir_.entry(0); }
+    SharerSet sharers() { return entry().sharers; }
+
+  private:
+    Directory dir_;
+};
+
 } // namespace
 
 TEST(SharerSet, LimitedPointerIsExactUnderCapacity)
 {
-    SharerSet lp(cfgOf(SharerFormat::LimitedPointer, 32, 4));
-    SharerSet fm(cfgOf(SharerFormat::FullMap, 32));
+    OneEntry lpe(cfgOf(SharerFormat::LimitedPointer, 32, 4));
+    OneEntry fme(cfgOf(SharerFormat::FullMap, 32));
+    SharerSet lp = lpe.sharers();
+    SharerSet fm = fme.sharers();
     for (NodeId n : {3, 9, 17, 3}) { // re-set of 3 must not burn a ptr
         lp.set(n);
         fm.set(n);
@@ -65,7 +82,8 @@ TEST(SharerSet, LimitedPointerIsExactUnderCapacity)
 
 TEST(SharerSet, LimitedPointerOverflowBroadcasts)
 {
-    SharerSet lp(cfgOf(SharerFormat::LimitedPointer, 16, 2));
+    OneEntry e(cfgOf(SharerFormat::LimitedPointer, 16, 2));
+    SharerSet lp = e.sharers();
     lp.set(1);
     lp.set(2);
     EXPECT_FALSE(lp.overflowed());
@@ -89,7 +107,8 @@ TEST(SharerSet, LimitedPointerOverflowBroadcasts)
 
 TEST(SharerSet, CoarseVectorTracksRegions)
 {
-    SharerSet cv(cfgOf(SharerFormat::CoarseVector, 32, 4, 8));
+    OneEntry e(cfgOf(SharerFormat::CoarseVector, 32, 4, 8));
+    SharerSet cv = e.sharers();
     cv.set(9); // region 1 (nodes 8..15)
     // The whole region appears shared; other regions do not.
     for (NodeId n = 8; n < 16; ++n)
@@ -113,7 +132,8 @@ TEST(SharerSet, SparseFormatsNeverMissATrueSharer)
     std::mt19937 rng(7);
     for (SharerFormat fmt :
          {SharerFormat::LimitedPointer, SharerFormat::CoarseVector}) {
-        SharerSet s(cfgOf(fmt, 64, 2, 4));
+        OneEntry e(cfgOf(fmt, 64, 2, 4));
+        SharerSet s = e.sharers();
         std::bitset<64> truth;
         for (int step = 0; step < 500; ++step) {
             NodeId n = static_cast<NodeId>(rng() % 64);
@@ -125,10 +145,126 @@ TEST(SharerSet, SparseFormatsNeverMissATrueSharer)
                 truth.set(n);
             }
             for (NodeId m = 0; m < 64; ++m) {
-                if (truth.test(m))
+                if (truth.test(m)) {
                     ASSERT_TRUE(s.test(m))
                         << "format " << int(fmt) << " lost node "
                         << int(m) << " at step " << step;
+                }
+            }
+        }
+    }
+}
+
+namespace
+{
+
+/** Compare one set against its oracle on every query. */
+void
+expectSameAs(const SharerSet &s, const test::OracleSharerSet &o,
+             std::size_t nodes, std::mt19937 &rng, const char *what)
+{
+    ASSERT_EQ(s.none(), o.none()) << what;
+    ASSERT_EQ(s.count(), o.count()) << what;
+    ASSERT_EQ(s.overflowed(), o.overflowed()) << what;
+    for (NodeId m = 0; m < nodes; ++m)
+        ASSERT_EQ(s.test(m), o.test(m)) << what << " node " << m;
+    for (int i = 0; i < 4; ++i) {
+        const NodeId n = static_cast<NodeId>(rng() % nodes);
+        test::OracleSharerSet without = o;
+        without.reset(n);
+        ASSERT_EQ(s.noneExcept(n), without.none())
+            << what << " except " << n;
+        NodeId lo = static_cast<NodeId>(rng() % (nodes + 1));
+        NodeId hi = static_cast<NodeId>(rng() % (nodes + 1));
+        if (lo > hi)
+            std::swap(lo, hi);
+        if (i == 0) {
+            lo = 0;
+            hi = static_cast<NodeId>(nodes);
+        }
+        ASSERT_EQ(s.withinRange(lo, hi), o.withinRange(lo, hi))
+            << what << " range [" << lo << ", " << hi << ")";
+    }
+}
+
+} // namespace
+
+TEST(SharerSet, SlotVectorMatchesTheOracleUnderRandomOps)
+{
+    // The compact representation must reproduce the per-format
+    // oracle exactly, query for query, in every format and across
+    // 64-bit word boundaries. The sharers and prior sets of one
+    // entry (which share its meta word) and its exact touched set
+    // are driven by independent streams, so an overflow bit leaking
+    // between them shows up too. No figure runs coarse-vector, so
+    // this is its only exact check.
+    struct Format
+    {
+        SharerFormat fmt;
+        std::size_t pointers;
+        std::size_t region;
+    };
+    const Format formats[] = {
+        {SharerFormat::FullMap, 4, 8},
+        {SharerFormat::LimitedPointer, 1, 8},
+        {SharerFormat::LimitedPointer, 2, 8},
+        {SharerFormat::LimitedPointer, 4, 8},
+        {SharerFormat::CoarseVector, 4, 1},
+        {SharerFormat::CoarseVector, 4, 3},
+        {SharerFormat::CoarseVector, 4, 8},
+    };
+    for (const Format &f : formats) {
+        for (std::size_t nodes : {1, 8, 63, 64, 65, 128, 512}) {
+            const DirConfig cfg =
+                cfgOf(f.fmt, nodes, f.pointers, f.region);
+            DirConfig exact_cfg = cfgOf(SharerFormat::FullMap, nodes);
+            OneEntry one(cfg);
+            DirEntry e = one.entry();
+            test::OracleSharerSet sharers(cfg), prior(cfg);
+            test::OracleSharerSet touched(exact_cfg);
+            std::mt19937 rng(static_cast<unsigned>(
+                nodes * 131 + f.pointers * 17 + f.region +
+                static_cast<unsigned>(f.fmt)));
+            // Half the operations hit a few hot nodes, so removals
+            // find set bits and the pointer budget overflows.
+            const auto pick = [&]() {
+                const NodeId n = static_cast<NodeId>(rng() % nodes);
+                return rng() % 2 ? n % 6 % nodes : n;
+            };
+            const auto step = [&](SharerSet s,
+                                  test::OracleSharerSet &o) {
+                const unsigned op = rng() % 100;
+                if (op < 55) {
+                    const NodeId n = pick();
+                    s.set(n);
+                    o.set(n);
+                } else if (op < 96) {
+                    const NodeId n = pick();
+                    s.reset(n);
+                    o.reset(n);
+                } else {
+                    s.reset();
+                    o.reset();
+                }
+            };
+            const std::string tag = std::to_string(int(f.fmt)) + "/" +
+                std::to_string(f.pointers) + "/" +
+                std::to_string(f.region) + " nodes " +
+                std::to_string(nodes);
+            for (int i = 0; i < 1000; ++i) {
+                step(e.sharers, sharers);
+                step(e.prior, prior);
+                const NodeId t = pick();
+                e.touched.set(t);
+                touched.set(t);
+                expectSameAs(e.sharers, sharers, nodes, rng,
+                             ("sharers " + tag).c_str());
+                expectSameAs(e.prior, prior, nodes, rng,
+                             ("prior " + tag).c_str());
+                expectSameAs(e.touched, touched, nodes, rng,
+                             ("touched " + tag).c_str());
+                if (HasFatalFailure())
+                    return;
             }
         }
     }
