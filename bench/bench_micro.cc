@@ -15,6 +15,7 @@
 #include "common/rng.hh"
 #include "driver/figures.hh"
 #include "driver/sweep_runner.hh"
+#include "heap_event_queue.hh"
 #include "mem/cache.hh"
 #include "net/network.hh"
 #include "proto/protocol.hh"
@@ -84,7 +85,7 @@ schedulerPattern(benchmark::State &state)
 void
 BM_EventQueueHeap(benchmark::State &state)
 {
-    schedulerPattern<HeapEventQueue>(state);
+    schedulerPattern<test::HeapEventQueue>(state);
 }
 BENCHMARK(BM_EventQueueHeap);
 

@@ -102,8 +102,6 @@ Params::fingerprint() const
     mix(static_cast<std::uint64_t>(dirFormat));
     mix(dirPointers);
     mix(dirRegionSize);
-    mix(intraJobs);
-    mix(intraWindow);
     return h;
 }
 
@@ -146,16 +144,6 @@ Params::validate() const
                  "limited-pointer directory needs >= 1 pointer");
     RNUMA_ASSERT(dirRegionSize >= 1,
                  "coarse-vector region size must be >= 1");
-    RNUMA_ASSERT(intraJobs >= 1,
-                 "--intra-jobs must be >= 1, got ", intraJobs);
-    RNUMA_ASSERT(intraJobs <= numNodes,
-                 "--intra-jobs ", intraJobs, " exceeds the node count ",
-                 numNodes, "; each partition needs at least one node");
-    RNUMA_ASSERT(numNodes % intraJobs == 0,
-                 "--intra-jobs ", intraJobs, " does not divide the ",
-                 numNodes, "-node machine into equal partitions");
-    RNUMA_ASSERT(intraWindow >= 1,
-                 "intraWindow multiplier must be >= 1");
 }
 
 } // namespace rnuma

@@ -165,12 +165,11 @@ struct RunStats
     double rwPageRefetchFraction() const;
 
     /**
-     * Fold one partition shard into this record: counters and waits
+     * Fold another run's record into this one: counters and waits
      * sum, ticks takes the max, the per-page maps merge key-wise
-     * (counts sum, read/write flags OR). Machine-global fields the
-     * shards never touch (events, net, dirEntries, dirBits) are left
-     * for the caller to fill. The parallel engine calls this in
-     * partition-index order, so the reduction is deterministic.
+     * (counts sum, read/write flags OR). Machine-global fields
+     * (events, net, dirEntries, dirBits) are left for the caller to
+     * fill.
      */
     void mergeFrom(const RunStats &shard);
 

@@ -39,12 +39,6 @@ StaticThresholdPolicy::onRefetch(Addr page)
     return false;
 }
 
-bool
-StaticThresholdPolicy::wouldFire(Addr page) const
-{
-    return countIn(counts, page) + 1 >= thresh;
-}
-
 void
 StaticThresholdPolicy::onRelocated(Addr page)
 {
@@ -112,12 +106,6 @@ HysteresisPolicy::onRefetch(Addr page)
         return true;
     }
     return false;
-}
-
-bool
-HysteresisPolicy::wouldFire(Addr page) const
-{
-    return countIn(counts, page) + 1 >= thresholdOf(page);
 }
 
 void
@@ -197,12 +185,6 @@ AdaptiveThresholdPolicy::onRefetch(Addr page)
         return true;
     }
     return false;
-}
-
-bool
-AdaptiveThresholdPolicy::wouldFire(Addr page) const
-{
-    return countIn(counts, page) + 1 >= thresholdOf(page);
 }
 
 void
@@ -305,12 +287,6 @@ UtilityThresholdPolicy::onRefetch(Addr page)
         return true;
     }
     return false;
-}
-
-bool
-UtilityThresholdPolicy::wouldFire(Addr page) const
-{
-    return countIn(counts, page) + 1 >= thresholdOf(page);
 }
 
 void
@@ -423,12 +399,6 @@ OnlineModelPolicy::onRefetch(Addr page)
     return false;
 }
 
-bool
-OnlineModelPolicy::wouldFire(Addr page) const
-{
-    return countIn(counts, page) + 1 >= curT;
-}
-
 void
 OnlineModelPolicy::onRelocated(Addr page)
 {
@@ -526,12 +496,6 @@ EwmaUtilityPolicy::onRefetch(Addr page)
         return true;
     }
     return false;
-}
-
-bool
-EwmaUtilityPolicy::wouldFire(Addr page) const
-{
-    return countIn(counts, page) + 1 >= thresholdOf(page);
 }
 
 void

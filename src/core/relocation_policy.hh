@@ -79,12 +79,9 @@ class RelocationPolicy
     virtual void reset(Addr page) = 0;
 
     /**
-     * Would the *next* onRefetch(@p page) fire? A side-effect-free
-     * probe for the parallel engine's confinement check: a firing
-     * relocation may evict a page whose blocks flush to a home
-     * outside the partition, so a potential fire forces the miss to
-     * the serial coordinator. The default is conservatively true
-     * (always defer); policies with a predictable rule override it.
+     * Retired probe: nothing in src/ calls it. It stays declared only
+     * because perfbench/trace.cc overrides it; the two go together at
+     * the next change to perfbench/.
      */
     virtual bool wouldFire(Addr /*page*/) const { return true; }
 
@@ -110,7 +107,6 @@ class StaticThresholdPolicy : public RelocationPolicy
     explicit StaticThresholdPolicy(std::size_t threshold);
 
     bool onRefetch(Addr page) override;
-    bool wouldFire(Addr page) const override;
     void onRelocated(Addr page) override;
     void onEvicted(Addr page, std::uint64_t residentHits) override;
     void reset(Addr page) override;
@@ -148,7 +144,6 @@ class HysteresisPolicy : public RelocationPolicy
                      std::size_t revertedThreshold);
 
     bool onRefetch(Addr page) override;
-    bool wouldFire(Addr page) const override;
     void onRelocated(Addr page) override;
     void onEvicted(Addr page, std::uint64_t residentHits) override;
     void reset(Addr page) override;
@@ -199,7 +194,6 @@ class AdaptiveThresholdPolicy : public RelocationPolicy
                             std::size_t maxThreshold);
 
     bool onRefetch(Addr page) override;
-    bool wouldFire(Addr page) const override;
     void onRelocated(Addr page) override;
     void onEvicted(Addr page, std::uint64_t residentHits) override;
     void reset(Addr page) override;
@@ -257,7 +251,6 @@ class UtilityThresholdPolicy : public RelocationPolicy
                            std::uint64_t breakEvenHits);
 
     bool onRefetch(Addr page) override;
-    bool wouldFire(Addr page) const override;
     void onRelocated(Addr page) override;
     void onEvicted(Addr page, std::uint64_t residentHits) override;
     void reset(Addr page) override;
@@ -295,8 +288,7 @@ class UtilityThresholdPolicy : public RelocationPolicy
  * one until, at h >= T*, relocation is known-profitable and fires at
  * the floor. With no eviction history the policy *is* rnuma-model
  * (h = 0, T = round(T*)), and on a stationary zero-reuse stream it
- * converges back to it. The EWMA only moves in onEvicted, so
- * wouldFire stays an exact probe between evictions.
+ * converges back to it.
  */
 class OnlineModelPolicy : public RelocationPolicy
 {
@@ -311,7 +303,6 @@ class OnlineModelPolicy : public RelocationPolicy
                       std::size_t maxThreshold);
 
     bool onRefetch(Addr page) override;
-    bool wouldFire(Addr page) const override;
     void onRelocated(Addr page) override;
     void onEvicted(Addr page, std::uint64_t residentHits) override;
     void reset(Addr page) override;
@@ -347,10 +338,9 @@ class OnlineModelPolicy : public RelocationPolicy
  *   T_p = round(maxThreshold + u * (minThreshold - maxThreshold))
  *
  * so the no-evidence midpoint is (min + max) / 2 and the registry
- * picks min/max to land that at the configured base T. The score only
- * moves in onEvicted (and drops on reset), so wouldFire stays exact;
- * only IEEE +,*,/ arithmetic is used, keeping results deterministic
- * across platforms.
+ * picks min/max to land that at the configured base T. Only IEEE
+ * +,*,/ arithmetic is used, keeping results deterministic across
+ * platforms.
  */
 class EwmaUtilityPolicy : public RelocationPolicy
 {
@@ -365,7 +355,6 @@ class EwmaUtilityPolicy : public RelocationPolicy
                       std::uint64_t breakEvenHits, double alpha);
 
     bool onRefetch(Addr page) override;
-    bool wouldFire(Addr page) const override;
     void onRelocated(Addr page) override;
     void onEvicted(Addr page, std::uint64_t residentHits) override;
     void reset(Addr page) override;

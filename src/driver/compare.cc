@@ -43,6 +43,22 @@ stringOr(const JsonValue *v, const std::string &fallback)
                                                    : fallback;
 }
 
+/**
+ * v6-v8 documents may carry "intra_jobs", the partition count of the
+ * removed parallel intra-cell engine. 1 (or absent) is a serial run;
+ * anything else was never tick-comparable to serial, so refuse it.
+ */
+void
+refuseIntraJobs(const JsonValue *v, const std::string &where)
+{
+    if (!v || (v->kind == JsonValue::Kind::Number && v->number == 1))
+        return;
+    throw std::runtime_error(
+        where + ": intra_jobs is not 1 (a run of the removed "
+                "parallel intra-cell engine, not comparable to "
+                "serial results)");
+}
+
 } // namespace
 
 const ResultCell *
@@ -130,10 +146,9 @@ loadResults(const std::string &json_text)
                 // so their cells keep the "" (unknown) default.
                 c.workload = canonicalWorkloadId(
                     stringOr(jc.get("workload"), c.workload));
-                // v6 records the intra-cell partition count; older
-                // documents predate the parallel engine entirely.
-                c.intraJobs = static_cast<std::size_t>(
-                    numberOr(jc.get("intra_jobs"), 1));
+                refuseIntraJobs(jc.get("intra_jobs"),
+                                f.name + "/" + c.app + "/" +
+                                    c.config);
                 c.wallMs = numberOr(jc.get("wall_ms"), 0);
                 const JsonValue *stats = jc.get("stats");
                 if (stats) {
@@ -195,7 +210,6 @@ resultsOf(const std::vector<FigureRun> &runs)
             if (!c.directory.empty())
                 rc.directory = c.directory;
             rc.workload = c.workload;
-            rc.intraJobs = c.intraJobs;
             rc.ticks = c.stats.ticks;
             rc.events = c.stats.events;
             rc.hasEvents = true;
@@ -263,18 +277,6 @@ compareResults(const ResultDoc &baseline, const ResultDoc &current,
             if (!cc) {
                 fail(bf.name + "/" + bc.app + "/" + bc.config +
                      ": cell missing from current results");
-                continue;
-            }
-            if (bc.intraJobs != cc->intraJobs) {
-                // Different engines produce legitimately different
-                // schedules; a tick diff would only report that.
-                fail(bf.name + "/" + bc.app + "/" + bc.config +
-                     ": intra_jobs changed (baseline " +
-                     std::to_string(bc.intraJobs) + ", current " +
-                     std::to_string(cc->intraJobs) +
-                     "); ticks are not comparable — use "
-                     "--compare-events for cross-engine checks");
-                figure_drift++;
                 continue;
             }
             if (bc.ticks != cc->ticks) {
@@ -408,152 +410,6 @@ compareResults(const ResultDoc &baseline, const ResultDoc &current,
     return violations;
 }
 
-std::size_t
-compareEventCounts(const ResultDoc &baseline,
-                   const ResultDoc &current,
-                   const EventCompareOptions &opt, std::ostream &os)
-{
-    // The contract (see compare.hh): structural counters are exact,
-    // protocol counters carry tolerance, the miss-classification
-    // split is informational only, and timing is ignored.
-    static const char *const exactCounters[] = {"refs", "barriers"};
-    static const char *const tolerantCounters[] = {
-        "remote_fetches",     "relocations",
-        "scoma_allocations",  "invalidations_sent",
-        "net_messages"};
-    static const char *const classCounters[] = {
-        "cold_misses", "coherence_misses", "refetches"};
-
-    std::size_t violations = 0;
-    auto fail = [&](const std::string &msg) {
-        violations++;
-        os << "FAIL: " << msg << "\n";
-    };
-
-    for (const ResultFigure &bf : baseline.figures) {
-        const ResultFigure *cf = current.find(bf.name);
-        if (!cf) {
-            fail(bf.name + ": figure missing from current results");
-            continue;
-        }
-        if (!sameScale(bf.scale, cf->scale)) {
-            fail(bf.name + ": scale changed (baseline " +
-                 std::to_string(bf.scale) + ", current " +
-                 std::to_string(cf->scale) +
-                 "); event counts are not comparable");
-            continue;
-        }
-
-        std::size_t figure_drift = 0;
-        std::uint64_t worstDiff = 0;
-        const char *worstName = nullptr;
-        for (const ResultCell &bc : bf.cells) {
-            const ResultCell *cc = cf->find(bc.app, bc.config);
-            if (!cc) {
-                fail(bf.name + "/" + bc.app + "/" + bc.config +
-                     ": cell missing from current results");
-                continue;
-            }
-            if (bc.counters.empty() || cc->counters.empty()) {
-                os << "note: " << bf.name << "/" << bc.app << "/"
-                   << bc.config
-                   << ": no stats counters (v1 document?); "
-                      "event check skipped\n";
-                continue;
-            }
-            auto counterOf = [](const ResultCell &c,
-                                const char *name,
-                                std::uint64_t &out) {
-                auto it = c.counters.find(name);
-                if (it == c.counters.end())
-                    return false;
-                out = it->second;
-                return true;
-            };
-            for (const char *name : exactCounters) {
-                std::uint64_t bv = 0, cv = 0;
-                if (!counterOf(bc, name, bv) ||
-                    !counterOf(*cc, name, cv))
-                    continue;
-                if (bv != cv) {
-                    fail(bf.name + "/" + bc.app + "/" + bc.config +
-                         ": " + name + " drifted (baseline " +
-                         std::to_string(bv) + ", current " +
-                         std::to_string(cv) +
-                         ") — structural counter, must be exact");
-                    figure_drift++;
-                }
-            }
-            for (const char *name : tolerantCounters) {
-                std::uint64_t bv = 0, cv = 0;
-                if (!counterOf(bc, name, bv) ||
-                    !counterOf(*cc, name, cv))
-                    continue;
-                std::uint64_t diff = bv > cv ? bv - cv : cv - bv;
-                std::uint64_t slack = std::max<std::uint64_t>(
-                    opt.absSlack,
-                    static_cast<std::uint64_t>(
-                        static_cast<double>(bv) *
-                        opt.tolerancePct / 100.0));
-                if (diff > slack) {
-                    fail(bf.name + "/" + bc.app + "/" + bc.config +
-                         ": " + name + " diverged (baseline " +
-                         std::to_string(bv) + ", current " +
-                         std::to_string(cv) + ", slack " +
-                         std::to_string(slack) + ")");
-                    figure_drift++;
-                } else if (diff > worstDiff) {
-                    worstDiff = diff;
-                    worstName = name;
-                }
-            }
-            // The cold/coherence/refetch split of remote_fetches is
-            // classified from directory state the instant the miss is
-            // processed, so window reordering moves misses between
-            // classes even when the gated total is equivalent. Report
-            // large shifts for the record; they are not violations.
-            for (const char *name : classCounters) {
-                std::uint64_t bv = 0, cv = 0;
-                if (!counterOf(bc, name, bv) ||
-                    !counterOf(*cc, name, cv))
-                    continue;
-                std::uint64_t diff = bv > cv ? bv - cv : cv - bv;
-                std::uint64_t slack = std::max<std::uint64_t>(
-                    opt.absSlack,
-                    static_cast<std::uint64_t>(
-                        static_cast<double>(bv) *
-                        opt.tolerancePct / 100.0));
-                if (diff > slack)
-                    os << "note: " << bf.name << "/" << bc.app << "/"
-                       << bc.config << ": " << name
-                       << " classification shifted (baseline " << bv
-                       << ", current " << cv
-                       << "); the total is gated via "
-                          "remote_fetches\n";
-            }
-        }
-        if (figure_drift == 0) {
-            os << "ok:   " << bf.name << ": event counts equivalent";
-            if (worstName)
-                os << " (worst drift: " << worstName << " by "
-                   << worstDiff << ")";
-            os << "\n";
-        }
-    }
-    for (const ResultFigure &cf : current.figures) {
-        if (!baseline.find(cf.name))
-            os << "note: figure " << cf.name
-               << " is new (not in baseline)\n";
-    }
-
-    os << (violations == 0 ? "compare-events: PASS"
-                           : "compare-events: FAIL (" +
-                                 std::to_string(violations) +
-                                 " violation(s))")
-       << "\n";
-    return violations;
-}
-
 //--------------------------------------------------------------------------
 // Measured-performance (bench) artifacts
 //--------------------------------------------------------------------------
@@ -592,8 +448,7 @@ loadBench(const std::string &json_text)
     out.scale = numberOr(doc.get("scale"), 1.0);
     out.jobs =
         static_cast<std::size_t>(numberOr(doc.get("jobs"), 1));
-    out.intraJobs = static_cast<std::size_t>(
-        numberOr(doc.get("intra_jobs"), 1));
+    refuseIntraJobs(doc.get("intra_jobs"), "bench document");
     const JsonValue *figures = doc.get("figures");
     if (!figures || !figures->isArray())
         throw std::runtime_error("missing 'figures' array");
@@ -643,8 +498,6 @@ writeBench(std::ostream &os, const BenchDoc &doc)
     w.value(doc.scale);
     w.key("jobs");
     w.value(static_cast<std::uint64_t>(doc.jobs));
-    w.key("intra_jobs");
-    w.value(static_cast<std::uint64_t>(doc.intraJobs));
     w.key("figures");
     w.beginArray();
     for (const BenchFigure &f : doc.figures) {
@@ -697,17 +550,6 @@ compareBench(const BenchDoc &baseline, const BenchDoc &current,
     if (baseline.runs != current.runs)
         os << "note: baseline medians are of " << baseline.runs
            << " runs, current of " << current.runs << "\n";
-    if (baseline.intraJobs != current.intraJobs) {
-        // Different engines schedule (and count) events differently;
-        // nothing in the artifacts is comparable across them.
-        fail("intra-jobs changed (baseline " +
-             std::to_string(baseline.intraJobs) + ", current " +
-             std::to_string(current.intraJobs) +
-             "); bench counters are not comparable — re-record the "
-             "baseline");
-        os << "bench-compare: FAIL (1 violation(s))\n";
-        return violations;
-    }
     // Host throughput does not compare across differing sweep
     // concurrency; counters still must match.
     bool rateComparable = baseline.jobs == current.jobs;

@@ -59,12 +59,6 @@ struct ResultCell
      * workload mismatch against them as a note, not a violation.
      */
     std::string workload;
-    /**
-     * Intra-cell partition count the cell ran with. Pre-v6 documents
-     * predate the parallel engine, so their cells default to 1 (the
-     * only engine that existed).
-     */
-    std::size_t intraJobs = 1;
     std::uint64_t ticks = 0;
     /** Scheduler events; hasEvents false for v1 baselines. */
     std::uint64_t events = 0;
@@ -72,8 +66,8 @@ struct ResultCell
     double wallMs = 0;
     /**
      * Every numeric field of the cell's serialized "stats" object,
-     * by field name — the event-count slice compareEventCounts()
-     * diffs. Empty for v1 baselines (which carried no stats).
+     * by field name (the v8 feedback counters are diffed from it).
+     * Empty for v1 baselines (which carried no stats).
      */
     std::map<std::string, std::uint64_t> counters;
 };
@@ -112,8 +106,11 @@ struct ResultDoc
 
 /**
  * Extract the comparable slice from a parsed rnuma-sweep-results
- * document (v1 through v7). Throws std::runtime_error on documents
- * that are not sweep results at all.
+ * document (v1 through v8). Throws std::runtime_error on documents
+ * that are not sweep results at all, and on a cell whose
+ * "intra_jobs" is present and not 1: it ran under the removed
+ * parallel intra-cell engine, whose ticks were never comparable to
+ * serial runs.
  */
 ResultDoc loadResults(const std::string &json_text);
 
@@ -159,59 +156,6 @@ std::size_t compareResults(const ResultDoc &baseline,
                            const CompareOptions &opt,
                            std::ostream &os);
 
-/** Tuning for compareEventCounts. */
-struct EventCompareOptions
-{
-    /**
-     * Allowed relative drift of the protocol-event counters, in
-     * percent of the baseline value (either direction). The default
-     * is calibrated against the worst observed window-reordering
-     * drift across the full figure suite at the default intraWindow
-     * (the rw-sharing microbenchmark's net traffic, ~11%); typical
-     * application cells stay within 2-6%.
-     */
-    double tolerancePct = 12.0;
-    /**
-     * Absolute slack that always passes, regardless of the relative
-     * tolerance — one window's worth of reordered sharing
-     * interactions is a large fraction of a small counter, but never
-     * evidence of divergence.
-     */
-    std::uint64_t absSlack = 96;
-};
-
-/**
- * The parallel-equivalence gate (`rnuma_sweep --compare-events`):
- * diff what the machine *did* rather than when it did it. The
- * parallel intra-cell engine (--intra-jobs > 1) is deterministic for
- * a fixed partition count but interleaves confined events
- * differently from the serial engine, so per-cell ticks, events, and
- * wait cycles legitimately differ; the protocol-event counts are the
- * invariant (docs/ARCHITECTURE.md, "Parallel intra-cell simulation").
- * Checks per cell, against a (typically serial) baseline:
- *
- * - `refs` and `barriers` — exact: every CPU consumes its whole
- *   stream exactly once under either engine;
- * - `remote_fetches`, `relocations`, `scoma_allocations`,
- *   `invalidations_sent`, `net_messages` — within max(absSlack,
- *   tolerancePct% of baseline);
- * - the cold/coherence/refetch *classification* of those fetches is
- *   reported (as notes) but not gated: a miss is classified from
- *   directory state at the instant it is processed, so window
- *   reordering moves misses between classes even when the gated
- *   total is equivalent;
- * - missing figures/cells and scale changes — violations, as in
- *   compareResults. Ticks, events, and wall time are ignored.
- *
- * Cells whose baseline carries no stats (v1 documents) are skipped
- * with a note. Returns the number of violations (the CLI exits 4
- * when nonzero).
- */
-std::size_t compareEventCounts(const ResultDoc &baseline,
-                               const ResultDoc &current,
-                               const EventCompareOptions &opt,
-                               std::ostream &os);
-
 //--------------------------------------------------------------------------
 // Measured-performance (bench) artifacts
 //--------------------------------------------------------------------------
@@ -255,14 +199,6 @@ struct BenchDoc
     std::size_t runs = 0; ///< medians are over this many runs
     double scale = 1.0;
     std::size_t jobs = 1;
-    /**
-     * Intra-cell partition count the cells ran with (the harness's
-     * --intra-jobs; serialized as "intra_jobs", absent/1 in older
-     * artifacts). The committed BENCH_<n>.json trajectory stays
-     * serial; a differing value makes even the deterministic
-     * counters incomparable, so compareBench fails on a mismatch.
-     */
-    std::size_t intraJobs = 1;
     std::vector<BenchFigure> figures;
 
     const BenchFigure *find(const std::string &name) const;
@@ -270,7 +206,8 @@ struct BenchDoc
 
 /**
  * Parse a bench artifact. Throws std::runtime_error on documents
- * that are not rnuma-bench at all.
+ * that are not rnuma-bench at all, and (as loadResults does) on an
+ * "intra_jobs" other than 1.
  */
 BenchDoc loadBench(const std::string &json_text);
 

@@ -24,12 +24,11 @@ namespace
 // reached the figure pipeline. v5 adds the per-cell "network" and
 // "directory" ids (the interconnect model and directory sharer-set
 // format the cell ran under) and the net_*/dir_* stat fields; the
-// gate defaults pre-v5 cells to "constant"/"full-map". v6 adds the
-// per-cell "intra_jobs" field: the intra-cell partition count the
-// cell's machine ran with (1 = the serial engine; pre-v6 cells could
-// only be serial, so the gate defaults them to 1). Cells at
-// intra_jobs > 1 are deterministic but not tick-identical to serial
-// runs; diff them with --compare-events instead of --compare. v7
+// gate defaults pre-v5 cells to "constant"/"full-map". v6 added a
+// per-cell "intra_jobs" field for a since-removed parallel engine;
+// writers no longer emit it, and readers refuse a cell that carries
+// any value other than 1 (such ticks were never comparable to
+// serial runs). v7
 // adds the per-cell "workload" field: the workload-registry id of
 // the generator behind the cell ("barnes", "zipf-serve", ...; ""
 // for an ad-hoc factory). Pre-v7 cells carried no workload ids, so
@@ -201,8 +200,6 @@ JsonSink::write(std::ostream &os,
             w.value(c.directory);
             w.key("workload");
             w.value(c.workload);
-            w.key("intra_jobs");
-            w.value(static_cast<std::uint64_t>(c.intraJobs));
             w.key("wall_ms");
             w.value(c.wallMs);
             w.key("events_per_sec");
@@ -229,7 +226,7 @@ CsvSink::write(std::ostream &os,
                const std::vector<FigureRun> &runs) const
 {
     os << "figure,scale,app,config,protocol,network,directory,"
-          "workload,intra_jobs,wall_ms,events_per_sec";
+          "workload,wall_ms,events_per_sec";
     for (const StatField &f : statFields())
         os << "," << f.name;
     os << "\n";
@@ -238,8 +235,8 @@ CsvSink::write(std::ostream &os,
             os << run.name << "," << run.scale << "," << c.app << ","
                << c.config << "," << c.protocol << ","
                << c.network << "," << c.directory << ","
-               << c.workload << "," << c.intraJobs << ","
-               << c.wallMs << "," << c.eventsPerSec();
+               << c.workload << "," << c.wallMs << ","
+               << c.eventsPerSec();
             for (const StatField &f : statFields())
                 os << "," << f.get(c.stats);
             os << "\n";

@@ -120,16 +120,6 @@ class Sweep
     void addBaseline(const std::string &app, const Params &p,
                      double scale, std::uint64_t seed = 1);
 
-    /**
-     * Set every cell's run Params to use the parallel intra-cell
-     * engine with @p n partitions (a post-build override: workload
-     * keys were already computed from the generation Params, so
-     * snapshots stay shared with serial runs of the same figure).
-     * Cells whose node count @p n does not divide — or exceeds —
-     * keep the serial engine; returns the number of cells switched.
-     */
-    std::size_t applyIntraJobs(std::size_t n);
-
     const std::string &name() const { return name_; }
     const std::string &title() const { return title_; }
     const std::string &paperRef() const { return paper_ref_; }

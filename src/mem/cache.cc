@@ -122,35 +122,6 @@ Cache::allocate(Addr a, Victim &victim)
     return chosen;
 }
 
-Cache::Victim
-Cache::victimProbe(Addr a) const
-{
-    Victim victim;
-    if (unbounded)
-        return victim;
-    a = blockAlign(a);
-    // Mirror allocate()'s selection exactly: first invalid way wins,
-    // else the lowest-lru valid way.
-    std::size_t base = setIndex(a) * assoc;
-    const CacheLine *chosen = nullptr;
-    for (std::size_t w = 0; w < assoc; ++w) {
-        const CacheLine &line = lines[base + w];
-        if (!line.valid()) {
-            if (!chosen || chosen->valid())
-                chosen = &line;
-            continue;
-        }
-        if (!chosen || (chosen->valid() && line.lru < chosen->lru))
-            chosen = &line;
-    }
-    if (chosen && chosen->valid()) {
-        victim.valid = true;
-        victim.addr = chosen->addr;
-        victim.state = chosen->state;
-    }
-    return victim;
-}
-
 CacheState
 Cache::invalidate(Addr a)
 {

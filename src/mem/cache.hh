@@ -95,16 +95,6 @@ class Cache
     CacheLine *allocate(Addr a, Victim &victim);
 
     /**
-     * The victim allocate(a, ...) would evict, without mutating
-     * anything: same single-pass way selection, no LRU stamping.
-     * Returns an invalid Victim when a free way exists (or in
-     * infinite mode). The parallel engine's confinement check uses
-     * this to see whether a fill would write back a dirty block
-     * homed outside the partition.
-     */
-    Victim victimProbe(Addr a) const;
-
-    /**
      * Invalidate a block if present; returns its prior state
      * (Invalid when absent).
      */

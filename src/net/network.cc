@@ -22,26 +22,12 @@ NetworkModel::ni(NodeId n)
     return nis[n];
 }
 
-void
-NetworkModel::countMsg(MsgKind kind)
-{
-    counts[static_cast<std::size_t>(kind)]
-        .fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t
-NetworkModel::count(MsgKind kind) const
-{
-    return counts[static_cast<std::size_t>(kind)]
-        .load(std::memory_order_relaxed);
-}
-
 std::uint64_t
 NetworkModel::totalMessages() const
 {
     std::uint64_t total = 0;
-    for (const auto &c : counts)
-        total += c.load(std::memory_order_relaxed);
+    for (std::uint64_t c : counts)
+        total += c;
     return total;
 }
 
@@ -50,7 +36,7 @@ NetworkModel::stats() const
 {
     NetworkStats s;
     for (std::size_t k = 0; k < numMsgKinds; ++k)
-        s.messages[k] = counts[k].load(std::memory_order_relaxed);
+        s.messages[k] = counts[k];
     return s;
 }
 
@@ -70,20 +56,6 @@ NetworkModel::meanLatency() const
     const std::uint64_t pairs =
         static_cast<std::uint64_t>(n) * (n - 1);
     return (sum + pairs / 2) / pairs;
-}
-
-Tick
-NetworkModel::minLatency() const
-{
-    const std::size_t n = nodes();
-    if (n < 2)
-        return 0;
-    Tick best = latency(0, 1);
-    for (NodeId a = 0; a < n; ++a)
-        for (NodeId b = 0; b < n; ++b)
-            if (a != b)
-                best = std::min(best, latency(a, b));
-    return best;
 }
 
 Tick

@@ -224,29 +224,6 @@ class BasicSharerSet
             std::size_t{slotCount()} * shape_->regionSize, shape_->nodes);
     }
 
-    /**
-     * Conservative containment test for the parallel engine: true
-     * only when every node test() could report lies in [lo, hi) (a
-     * broadcast set fits only the whole machine).
-     */
-    bool
-    withinRange(NodeId lo, NodeId hi) const
-    {
-        if (overflowed())
-            return lo == 0 && hi >= shape_->nodes;
-        for (std::uint32_t i = 0; i < shape_->words; ++i) {
-            for (std::uint64_t w = bits_[i]; w; w &= w - 1) {
-                const std::uint64_t first = shape_->regionSize *
-                    (i * 64 + static_cast<unsigned>(__builtin_ctzll(w)));
-                const std::uint64_t last = std::min<std::uint64_t>(
-                    first + shape_->regionSize, shape_->nodes);
-                if (first < lo || last > hi)
-                    return false;
-            }
-        }
-        return true;
-    }
-
     /** A limited-pointer entry that has degraded to broadcast. */
     bool overflowed() const { return (*meta_ & ovf_) != 0; }
 

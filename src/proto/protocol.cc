@@ -12,14 +12,11 @@ GlobalProtocol::GlobalProtocol(const Params &params,
                                std::vector<Memory *> memories)
     : p(params), net(net_), place(placement), sink(sink_),
       mems(std::move(memories)),
-      nodesPerShard_(params.numNodes / params.intraJobs)
+      dir_(params.blockSize, params.blocksPerPage(),
+           DirConfig::fromParams(params))
 {
     RNUMA_ASSERT(mems.size() == p.numNodes,
                  "need one memory per node, got ", mems.size());
-    dirs_.reserve(p.intraJobs);
-    for (std::size_t s = 0; s < p.intraJobs; ++s)
-        dirs_.emplace_back(p.blockSize, p.blocksPerPage(),
-                           DirConfig::fromParams(p));
     controllers.reserve(p.numNodes);
     for (std::size_t i = 0; i < p.numNodes; ++i)
         controllers.emplace_back(p.radOccupancy);
@@ -34,69 +31,19 @@ GlobalProtocol::homeOf(Addr addr) const
 bool
 GlobalProtocol::nodeOwns(NodeId node, Addr block) const
 {
-    // Every caller probes state the node itself is home for (or
-    // runs with a single shard), so the node's shard is the block's.
-    const Directory &d = dirs_.size() == 1 ? dirs_[0] : dirFor(node);
-    const ConstDirEntry e = d.peek(block & ~(Addr(p.blockSize) - 1));
+    const ConstDirEntry e = dir_.peek(blockAlign(block));
     return e && e.owner() == node;
 }
 
 bool
 GlobalProtocol::onlyHolder(NodeId node, Addr block) const
 {
-    const Directory &d = dirs_.size() == 1 ? dirs_[0] : dirFor(node);
-    const ConstDirEntry e = d.peek(block & ~(Addr(p.blockSize) - 1));
+    const ConstDirEntry e = dir_.peek(blockAlign(block));
     if (!e)
         return true;
     if (e.hasOwner() && e.owner() != node)
         return false;
     return e.sharers.noneExcept(node);
-}
-
-std::uint64_t
-GlobalProtocol::dirEntryCount() const
-{
-    std::uint64_t n = 0;
-    for (const Directory &d : dirs_)
-        n += d.size();
-    return n;
-}
-
-std::uint64_t
-GlobalProtocol::dirStorageBits() const
-{
-    std::uint64_t n = 0;
-    for (const Directory &d : dirs_)
-        n += d.modeledStorageBits();
-    return n;
-}
-
-bool
-GlobalProtocol::fetchConfined(NodeId requester, Addr block,
-                              bool write, NodeId lo, NodeId hi) const
-{
-    block = block & ~(Addr(p.blockSize) - 1);
-    const ConstDirEntry e = dirFor(requester).peek(block);
-    if (!e)
-        return true; // first touch of the block: purely local fill
-    // A dirty third-node owner means a forward (and on reads a
-    // downgrade) to that node.
-    if (e.hasOwner() && e.owner() != requester &&
-        (e.owner() < lo || e.owner() >= hi))
-        return false;
-    // Writes invalidate every apparent sharer.
-    if (write && !e.sharers.withinRange(lo, hi))
-        return false;
-    return true;
-}
-
-bool
-GlobalProtocol::wouldRefetch(NodeId requester, Addr block) const
-{
-    block = block & ~(Addr(p.blockSize) - 1);
-    const ConstDirEntry e = dirFor(requester).peek(block);
-    return e && (e.sharers.test(requester) ||
-                 e.prior.test(requester) || e.owner() == requester);
 }
 
 MissKind
@@ -125,7 +72,7 @@ GlobalProtocol::fetch(Tick now, NodeId requester, Addr block,
 {
     block = blockAlign(block);
     NodeId home = homeOf(block);
-    DirEntry e = dirFor(home).entry(block);
+    DirEntry e = dir_.entry(block);
 
     FetchResult res;
     res.kind = classify(e, requester, type);
@@ -234,7 +181,7 @@ GlobalProtocol::writeback(Tick now, NodeId from, Addr block)
 {
     block = blockAlign(block);
     NodeId home = homeOf(block);
-    DirEntry e = dirFor(home).entry(block);
+    DirEntry e = dir_.entry(block);
     if (e.owner() == from) {
         e.setOwner(invalidNode);
         e.sharers.reset(from);
@@ -252,7 +199,7 @@ GlobalProtocol::flushBlock(Tick now, NodeId from, Addr block, bool dirty)
 {
     block = blockAlign(block);
     NodeId home = homeOf(block);
-    DirEntry e = dirFor(home).entry(block);
+    DirEntry e = dir_.entry(block);
     e.sharers.reset(from);
     e.prior.reset(from);
     if (e.owner() == from)

@@ -133,39 +133,19 @@ class GlobalProtocol
      */
     void illegalSilentUpgrade(NodeId, Addr);
 
-    /**
-     * Can a fetch of @p block by @p requester (its own home) be
-     * processed entirely inside the node range [lo, hi)? True when
-     * the directory's current state guarantees every side effect —
-     * three-hop forwards, invalidations, sharer updates — lands on
-     * nodes in the range. Conservative: a false answer only defers
-     * the miss to the parallel engine's serial coordinator.
-     */
-    bool fetchConfined(NodeId requester, Addr block, bool write,
-                       NodeId lo, NodeId hi) const;
+    /** Directory introspection for tests and stats. */
+    const Directory &directory() const { return dir_; }
+    Directory &directoryForTest() { return dir_; }
 
-    /**
-     * Would a GetS/GetX from @p requester be classified as a refetch?
-     * Side-effect-free peek used by the parallel engine's confinement
-     * check to predict relocation-policy activity. Only legal when
-     * the block's home shares a directory shard with @p requester
-     * (the caller's partition owns that shard).
-     */
-    bool wouldRefetch(NodeId requester, Addr block) const;
+    /** Live directory entries. */
+    std::uint64_t dirEntryCount() const { return dir_.size(); }
 
-    /**
-     * Directory introspection for tests and stats. With intraJobs ==
-     * 1 (every test and all serial runs) the single shard holds the
-     * whole machine's state, exactly as before sharding.
-     */
-    const Directory &directory() const { return dirs_[0]; }
-    Directory &directoryForTest() { return dirs_[0]; }
-
-    /** Live entries summed over all home shards. */
-    std::uint64_t dirEntryCount() const;
-
-    /** Modeled storage bits summed over all home shards. */
-    std::uint64_t dirStorageBits() const;
+    /** Modeled directory storage bits. */
+    std::uint64_t
+    dirStorageBits() const
+    {
+        return dir_.modeledStorageBits();
+    }
 
     /** Home of the page containing @p addr. */
     NodeId homeOf(Addr addr) const;
@@ -189,28 +169,9 @@ class GlobalProtocol
     const Placement &place;
     CoherenceSink &sink;
     std::vector<Memory *> mems;
-    /**
-     * The directory, sharded by home-node partition (one shard per
-     * intra-job; a single shard when intraJobs == 1). A block's
-     * entry lives in the shard owning its home node, so under the
-     * parallel engine each partition thread touches only its own
-     * shard (including the per-Directory lookup memo, which would
-     * otherwise race).
-     */
-    std::vector<Directory> dirs_;
-    /** numNodes / intraJobs: maps a home node to its shard. */
-    std::size_t nodesPerShard_;
+    Directory dir_;
     /** Home protocol-controller occupancy, one per node. */
     std::vector<Resource> controllers;
-
-    Directory &dirFor(NodeId home)
-    {
-        return dirs_[home / nodesPerShard_];
-    }
-    const Directory &dirFor(NodeId home) const
-    {
-        return dirs_[home / nodesPerShard_];
-    }
 
     Addr blockAlign(Addr a) const { return a & ~(Addr(p.blockSize) - 1); }
     Addr pageOf(Addr a) const { return a / p.pageSize; }

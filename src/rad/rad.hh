@@ -115,24 +115,16 @@ class Rad
     virtual bool hasWritePermission(Addr block) const = 0;
 
     /**
-     * Would access(now, addr, write, ...) touch only state belonging
-     * to nodes in [lo, hi)? Side-effect-free; the parallel engine
-     * (sim/machine_parallel.cc) calls it from a partition thread, so
-     * the implementation must not read directory state unless the
-     * page's home lies in [lo, hi) — that range owns the home's
-     * directory shard. Conservative: false only defers the miss to
-     * the serial coordinator. Requires the page to be placed.
+     * Retired probes: nothing in src/ calls them. They stay declared
+     * only because perfbench/trace.cc overrides them; they go together
+     * with those overrides at the next change to perfbench/.
      */
-    virtual bool accessConfined(Addr addr, bool write, NodeId lo,
-                                NodeId hi) const = 0;
-
-    /**
-     * Would l1Writeback(now, block) complete without a protocol
-     * transaction (the RAD holds a local structure that absorbs the
-     * dirty data)? Side-effect-free; mirrors l1Writeback's local
-     * paths exactly.
-     */
-    virtual bool absorbsL1Writeback(Addr block) const = 0;
+    virtual bool
+    accessConfined(Addr, bool, NodeId, NodeId) const
+    {
+        return false;
+    }
+    virtual bool absorbsL1Writeback(Addr) const { return false; }
 
     NodeId node() const { return nodeId; }
 

@@ -264,74 +264,4 @@ RNumaRad::hasWritePermission(Addr block) const
         pc.tag(page, blockIndex(block)) == FineTag::ReadWrite;
 }
 
-bool
-RNumaRad::accessConfined(Addr addr, bool write, NodeId lo,
-                         NodeId hi) const
-{
-    Addr page = pageOf(addr);
-    Addr block = blockOf(addr);
-
-    if (d.pageTable.modeOf(page) == PageMode::SComa) {
-        // pagePath: the page is resident, so no allocation or
-        // replacement can trigger — only the tag decides. The hit
-        // bookkeeping a confined page-cache hit performs
-        // (PageCache::recordHit) mutates only this node's own frame
-        // arena, so it needs no home check; likewise the residency
-        // feedback delivered at eviction (policy onEvicted with the
-        // hit count) touches only this node's policy state — the
-        // victim-home probe below already defers the eviction's
-        // *flush* traffic, which is the only cross-node effect.
-        FineTag tag = pc.tag(page, blockIndex(addr));
-        if (tag == FineTag::ReadWrite ||
-            (tag == FineTag::ReadOnly && !write))
-            return true;
-        NodeId home = d.proto.homeOf(addr);
-        if (home < lo || home >= hi)
-            return false;
-        return d.proto.fetchConfined(nodeId, block, write, lo, hi);
-    }
-
-    // blockPath (Unmapped first-touch maps CC-NUMA locally first).
-    const CacheLine *line = bc.find(block);
-    if (line && line->valid() &&
-        (!write || line->state == CacheState::Modified))
-        return true; // block cache hit
-    NodeId home = d.proto.homeOf(addr);
-    if (home < lo || home >= hi)
-        return false;
-    if (line && line->valid()) // upgrade
-        return d.proto.fetchConfined(nodeId, block, true, lo, hi);
-    Cache::Victim v = bc.victimProbe(block);
-    if (v.valid && v.state == CacheState::Modified) {
-        NodeId vhome = d.proto.homeOf(v.addr);
-        if (vhome < lo || vhome >= hi)
-            return false;
-    }
-    if (!d.proto.fetchConfined(nodeId, block, write, lo, hi))
-        return false;
-    // A refetch may fire the relocation policy. The relocation
-    // itself is node-local except when a full page cache evicts its
-    // LRM victim page, whose blocks flush to THAT page's home.
-    if (pc.full() && d.proto.wouldRefetch(nodeId, block) &&
-        policy_->wouldFire(page)) {
-        NodeId vhome =
-            d.proto.homeOf(pc.lrmVictim() * Addr(p.pageSize));
-        if (vhome < lo || vhome >= hi)
-            return false;
-    }
-    return true;
-}
-
-bool
-RNumaRad::absorbsL1Writeback(Addr block) const
-{
-    block = blockOf(block);
-    Addr page = pageOf(block);
-    if (d.pageTable.modeOf(page) == PageMode::SComa &&
-        pc.contains(page))
-        return true;
-    const CacheLine *line = bc.find(block);
-    return line && line->valid();
-}
-
 } // namespace rnuma

@@ -151,41 +151,4 @@ SComaRad::hasWritePermission(Addr block) const
         pc.tag(page, blockIndex(block)) == FineTag::ReadWrite;
 }
 
-bool
-SComaRad::accessConfined(Addr addr, bool write, NodeId lo,
-                         NodeId hi) const
-{
-    Addr page = pageOf(addr);
-    Addr block = blockOf(addr);
-    if (d.pageTable.modeOf(page) == PageMode::SComa) {
-        FineTag tag = pc.tag(page, blockIndex(addr));
-        if (tag == FineTag::ReadWrite ||
-            (tag == FineTag::ReadOnly && !write))
-            return true; // fine-grain tag hit: local memory
-        NodeId home = d.proto.homeOf(addr);
-        if (home < lo || home >= hi)
-            return false;
-        return d.proto.fetchConfined(nodeId, block, write, lo, hi);
-    }
-    // Page fault: a full page cache flushes the LRM victim page's
-    // blocks to THAT page's home, then the fetch goes to this
-    // page's home.
-    NodeId home = d.proto.homeOf(addr);
-    if (home < lo || home >= hi)
-        return false;
-    if (pc.full()) {
-        NodeId vhome =
-            d.proto.homeOf(pc.lrmVictim() * Addr(p.pageSize));
-        if (vhome < lo || vhome >= hi)
-            return false;
-    }
-    return d.proto.fetchConfined(nodeId, block, write, lo, hi);
-}
-
-bool
-SComaRad::absorbsL1Writeback(Addr block) const
-{
-    return pc.contains(pageOf(block));
-}
-
 } // namespace rnuma

@@ -26,35 +26,6 @@ ctz64(std::uint64_t x)
 } // namespace
 
 //--------------------------------------------------------------------------
-// HeapEventQueue (reference implementation)
-//--------------------------------------------------------------------------
-
-void
-HeapEventQueue::schedule(Tick when, std::uint32_t tag)
-{
-    heap.push(Event{when, seqCounter++, tag});
-}
-
-Event
-HeapEventQueue::pop()
-{
-    RNUMA_ASSERT(!heap.empty(), "pop from empty event queue");
-    Event e = heap.top();
-    heap.pop();
-    popCount++;
-    return e;
-}
-
-bool
-HeapEventQueue::popBefore(Tick limit, Event &out)
-{
-    if (heap.empty() || heap.top().when >= limit)
-        return false;
-    out = pop();
-    return true;
-}
-
-//--------------------------------------------------------------------------
 // EventQueue (indexed calendar over a far-future heap)
 //--------------------------------------------------------------------------
 
@@ -190,15 +161,6 @@ EventQueue::pop()
     size_--;
     popCount_++;
     return e;
-}
-
-bool
-EventQueue::popBefore(Tick limit, Event &out)
-{
-    if (size_ == 0 || peekTime() >= limit)
-        return false;
-    out = pop();
-    return true;
 }
 
 Tick

@@ -5,24 +5,22 @@
  * activity is processed in global time order; L1 hits are accumulated
  * arithmetically without events.
  *
- * Two implementations share one contract — pop order is strictly
- * (when, seq), i.e. time order with deterministic FIFO tie-breaking:
+ * Pop order is strictly (when, seq), i.e. time order with
+ * deterministic FIFO tie-breaking. EventQueue is an indexed two-level
+ * structure exploiting the simulator's mostly-monotonic small-delta
+ * event pattern. A calendar of one-tick FIFO buckets covers the near
+ * future [cursor, cursor + window); a hierarchical bitmap over the
+ * buckets finds the next non-empty one in a few word operations, so
+ * schedule and pop are O(1) in the common case. Events beyond the
+ * window (page operations, long barrier jumps) overflow into a
+ * min-heap and are merged back in by comparison at pop time, which
+ * keeps the (when, seq) order exact even when the same tick holds
+ * both calendar and heap events.
  *
- * - EventQueue: the production scheduler, an indexed two-level
- *   structure exploiting the simulator's mostly-monotonic small-delta
- *   event pattern. A calendar of one-tick FIFO buckets covers the
- *   near future [cursor, cursor + window); a hierarchical bitmap over
- *   the buckets finds the next non-empty one in a few word
- *   operations, so schedule and pop are O(1) in the common case.
- *   Events beyond the window (page operations, long barrier jumps)
- *   overflow into a min-heap and are merged back in by comparison at
- *   pop time, which keeps the (when, seq) order exact even when the
- *   same tick holds both calendar and heap events.
- *
- * - HeapEventQueue: the plain std::priority_queue reference
- *   implementation. The unit tests assert the two pop bit-identical
- *   sequences under randomized schedules, and bench_micro measures
- *   the calendar's throughput advantage against it.
+ * The plain std::priority_queue reference implementation lives in
+ * tests/heap_event_queue.hh: the unit tests assert the two pop
+ * bit-identical sequences under randomized schedules, and bench_micro
+ * measures the calendar's throughput advantage against it.
  */
 
 #ifndef RNUMA_SIM_EVENT_QUEUE_HH
@@ -45,7 +43,7 @@ struct Event
     std::uint32_t tag = 0; ///< payload (the CPU id)
 };
 
-/** Strict (when, seq) order: the one pop order both queues honor. */
+/** Strict (when, seq) order: the one pop order every queue honors. */
 inline bool
 eventBefore(const Event &a, const Event &b)
 {
@@ -55,60 +53,8 @@ eventBefore(const Event &a, const Event &b)
 }
 
 /**
- * Reference min-heap event queue with deterministic tie-breaking.
- * Kept as the ordering oracle for the calendar queue's tests and the
- * baseline for bench_micro's scheduler-throughput comparison.
- */
-class HeapEventQueue
-{
-  public:
-    /** Schedule @p tag to run at @p when. */
-    void schedule(Tick when, std::uint32_t tag);
-
-    /** Any events pending? */
-    bool empty() const { return heap.empty(); }
-
-    /** Pop the earliest event (ties broken by insertion order). */
-    Event pop();
-
-    /**
-     * Pop the earliest event into @p out iff its tick is strictly
-     * below @p limit; returns whether one was popped. The parallel
-     * engine's window drain: events at or past the edge stay queued
-     * for the next round, so no partition ever runs ahead of the
-     * lookahead bound.
-     */
-    bool popBefore(Tick limit, Event &out);
-
-    /** Tick of the earliest pending event (queue must not be empty). */
-    Tick peekTime() const { return heap.top().when; }
-
-    /** Events processed so far. */
-    std::uint64_t processed() const { return popCount; }
-
-    /** Events currently pending. */
-    std::size_t pending() const { return heap.size(); }
-
-  private:
-    struct Later
-    {
-        bool
-        operator()(const Event &a, const Event &b) const
-        {
-            return eventBefore(b, a);
-        }
-    };
-
-    std::priority_queue<Event, std::vector<Event>, Later> heap;
-    std::uint64_t seqCounter = 0;
-    std::uint64_t popCount = 0;
-};
-
-/**
  * The production scheduler: a bitmap-indexed calendar of one-tick
  * FIFO buckets over a far-future min-heap (see the file comment).
- * Drop-in API-compatible with HeapEventQueue and bit-identical in
- * pop order.
  */
 class EventQueue
 {
@@ -151,13 +97,6 @@ class EventQueue
 
     /** Pop the earliest event (ties broken by insertion order). */
     Event pop();
-
-    /**
-     * Pop the earliest event into @p out iff its tick is strictly
-     * below @p limit; returns whether one was popped (see
-     * HeapEventQueue::popBefore).
-     */
-    bool popBefore(Tick limit, Event &out);
 
     /** Tick of the earliest pending event (queue must not be empty). */
     Tick peekTime() const;

@@ -51,34 +51,11 @@ Machine::Machine(const Params &params, const ProtocolSpec &spec,
     proto_ = std::make_unique<GlobalProtocol>(p, *net_, place_,
                                               *this, mem_ptrs);
 
-    // The parallel engine shards the run statistics per partition so
-    // worker threads never share a counter; each node binds its
-    // partition's shard. Partitions are built first (and never
-    // reallocated) because the nodes capture shard references.
-    if (p.intraJobs > 1) {
-        const std::size_t span =
-            calendarSpanFor(p, wl, net_->meanLatency());
-        const std::size_t nodesPer = p.numNodes / p.intraJobs;
-        cpusPerPartition_ = nodesPer * p.cpusPerNode;
-        partitions_.reserve(p.intraJobs);
-        for (std::size_t j = 0; j < p.intraJobs; ++j) {
-            partitions_.emplace_back(span);
-            Partition &pt = partitions_.back();
-            pt.nodeLo = static_cast<NodeId>(j * nodesPer);
-            pt.nodeHi = static_cast<NodeId>((j + 1) * nodesPer);
-            pt.cpuLo = static_cast<CpuId>(j * cpusPerPartition_);
-            pt.cpuHi = static_cast<CpuId>((j + 1) * cpusPerPartition_);
-        }
-    }
-
     nodes_.reserve(p.numNodes);
     for (NodeId n = 0; n < p.numNodes; ++n) {
-        RunStats &sink = partitions_.empty()
-            ? stats_
-            : partitions_[n / (p.numNodes / p.intraJobs)].stats;
         nodes_.push_back(std::make_unique<Node>(p, n, spec,
                                                 *mems_[n], *proto_,
-                                                sink));
+                                                stats_));
     }
 
     cpus_.resize(p.numCpus());
@@ -123,14 +100,6 @@ Machine::maybeReleaseBarrier()
     }
 }
 
-RunStats &
-Machine::statsFor(CpuId cpu)
-{
-    return partitions_.empty()
-        ? stats_
-        : partitions_[cpu / cpusPerPartition_].stats;
-}
-
 Tick
 Machine::processMiss(CpuId cpu, const Ref &r)
 {
@@ -142,7 +111,7 @@ Machine::processMiss(CpuId cpu, const Ref &r)
     Tick done = nodes_[n]->access(cs.time, cpuMap.localOf(cpu), r.addr,
                                   r.write, home == n);
     cs.stalled += done - before;
-    statsFor(cpu).stallCycles += done - before;
+    stats_.stallCycles += done - before;
     return done;
 }
 
@@ -220,9 +189,6 @@ Machine::run()
 {
     RNUMA_ASSERT(!ran, "Machine::run() may only be called once");
     ran = true;
-
-    if (!partitions_.empty())
-        return runParallel();
 
     for (CpuId c = 0; c < cpus_.size(); ++c)
         eq_.schedule(0, c);

@@ -32,12 +32,6 @@ Node::snoopOwned(std::size_t cpu, Addr block)
     return nullptr;
 }
 
-const CacheLine *
-Node::snoopOwned(std::size_t cpu, Addr block) const
-{
-    return const_cast<Node *>(this)->snoopOwned(cpu, block);
-}
-
 void
 Node::invalidateOtherL1s(std::size_t cpu, Addr block)
 {
@@ -88,52 +82,6 @@ Node::tryHit(std::size_t cpu, Addr addr, bool write)
     l1.touch(line);
     stats.l1Hits++;
     return true;
-}
-
-bool
-Node::fillConfined(std::size_t cpu, Addr block, NodeId lo,
-                   NodeId hi) const
-{
-    Cache::Victim v = l1s[cpu].victimProbe(block);
-    if (!v.valid || !isDirty(v.state))
-        return true;
-    NodeId vhome = proto.homeOf(v.addr);
-    if (vhome == id_ || rad_->absorbsL1Writeback(blockOf(v.addr)))
-        return true; // local memory or a local RAD structure absorbs
-    // Falls through to a voluntary writeback to the victim's home.
-    return vhome >= lo && vhome < hi;
-}
-
-bool
-Node::missConfined(std::size_t cpu, Addr addr, bool write,
-                   bool is_home, NodeId lo, NodeId hi) const
-{
-    Addr block = blockOf(addr);
-    const Cache &l1 = l1s[cpu];
-    const CacheLine *line = l1.find(block);
-
-    if (line && line->valid()) {
-        if (!write || line->state == CacheState::Modified)
-            return true; // L1 hit: nothing shared touched
-        // Upgrade path.
-        if (nodeHasWritePermission(block, is_home))
-            return true; // on-node ownership transfer
-        if (is_home)
-            return proto.fetchConfined(id_, block, true, lo, hi);
-        // The RAD access may relocate the page, purging this line
-        // and forcing a fresh fill — include the fill's victim.
-        return rad_->accessConfined(addr, true, lo, hi) &&
-            fillConfined(cpu, block, lo, hi);
-    }
-
-    // Miss path. The fill's dirty victim must stay in range.
-    if (!fillConfined(cpu, block, lo, hi))
-        return false;
-    if (snoopOwned(cpu, block))
-        return true; // on-node cache-to-cache transfer
-    if (is_home)
-        return proto.fetchConfined(id_, block, write, lo, hi);
-    return rad_->accessConfined(addr, write, lo, hi);
 }
 
 Tick

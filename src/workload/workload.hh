@@ -65,11 +65,7 @@ class Workload
 
     /**
      * The entry the following next() will return, without advancing
-     * the stream. The parallel engine uses this at window boundaries
-     * to apply a CPU's consecutive InitTouch run atomically — the
-     * serial engine consumes such runs in one uninterrupted step, and
-     * first-touch placement is order-sensitive, so replaying them one
-     * per round would home pages differently.
+     * the stream.
      */
     virtual const Ref &peek(CpuId cpu) = 0;
 

@@ -136,46 +136,6 @@ class OracleSharerSet
         return 0;
     }
 
-    /**
-     * Conservative containment test: true only when every node the
-     * set could report via test() lies in [lo, hi). Used by the
-     * parallel engine's confinement check — a false negative merely
-     * defers a miss to the serial coordinator, so the sparse formats
-     * answer pessimistically (a broadcast entry fits only a
-     * full-machine range; a coarse region must lie entirely inside).
-     */
-    bool
-    withinRange(NodeId lo, NodeId hi) const
-    {
-        switch (format_) {
-          case SharerFormat::FullMap:
-            for (NodeId n = 0; n < nodes_; ++n)
-                if (bits_.test(n) && (n < lo || n >= hi))
-                    return false;
-            return true;
-          case SharerFormat::LimitedPointer:
-            if (overflowed_)
-                return lo == 0 && hi >= nodes_;
-            for (std::uint16_t p : ptrs_)
-                if (p < lo || p >= hi)
-                    return false;
-            return true;
-          case SharerFormat::CoarseVector:
-            for (std::uint32_t r = 0;
-                 r * regionSize_ < nodes_; ++r) {
-                if (!bits_.test(r))
-                    continue;
-                const NodeId first = r * regionSize_;
-                const NodeId last = std::min<NodeId>(
-                    first + regionSize_, nodes_);
-                if (first < lo || last > hi)
-                    return false;
-            }
-            return true;
-        }
-        return false;
-    }
-
     /** A limited-pointer entry that has degraded to broadcast. */
     bool overflowed() const { return overflowed_; }
 

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "driver/compare.hh"
 #include "driver/figures.hh"
@@ -138,31 +140,6 @@ TEST(SweepRunnerTest, VerifyDetectsTamperedStats)
     SweepResult r = SweepRunner(1).run(s);
     r.cells[3].stats.ticks += 1;
     EXPECT_THROW(verifySerialIdentical(s, r), std::logic_error);
-}
-
-TEST(SweepDecl, ApplyIntraJobsRespectsDivisibility)
-{
-    Sweep s("ij", "", "");
-    Params two = test::smallParams(); // 2 nodes
-    s.addApp("moldyn", "ccnuma", two, "ccnuma", testScale);
-    Params eight = test::paperParams(); // 8 nodes
-    s.addApp("moldyn", "rnuma", eight, "rnuma", testScale);
-
-    // 1 is a no-op; 4 fits only the 8-node cell (2 % 4 != 0 and
-    // 4 > 2); 2 fits both.
-    EXPECT_EQ(s.applyIntraJobs(1), 0u);
-    EXPECT_EQ(s.applyIntraJobs(4), 1u);
-    EXPECT_EQ(s.cells()[0].params.intraJobs, 1u);
-    EXPECT_EQ(s.cells()[1].params.intraJobs, 4u);
-    EXPECT_EQ(s.applyIntraJobs(2), 2u);
-    EXPECT_EQ(s.cells()[0].params.intraJobs, 2u);
-
-    // The effective per-cell value lands in the results.
-    Sweep fresh("ij2", "", "");
-    fresh.addApp("moldyn", "ccnuma", two, "ccnuma", testScale);
-    fresh.applyIntraJobs(2);
-    SweepResult r = SweepRunner(1).run(fresh);
-    EXPECT_EQ(r.cells[0].intraJobs, 2u);
 }
 
 TEST(JsonRoundTrip, SmallSweepSurvivesWriteAndParse)
@@ -511,82 +488,56 @@ TEST(CompareGate, LoadResultsRoundTripsTheJsonSink)
         0u);
 }
 
-TEST(CompareGate, EventCountsGateSelfComparesAndCatchesDrift)
+TEST(CompareGate, ReadersRefuseIntraJobsOtherThanOne)
 {
+    // Writers no longer emit the field of the removed parallel
+    // intra-cell engine, in JSON or CSV.
     Sweep s = smallSweep();
     FigureRun run = wrap(s, SweepRunner(1).run(s));
-    std::ostringstream os;
-    JsonSink().write(os, {run});
-    ResultDoc base = loadResults(os.str());
-    ResultDoc cur = resultsOf({run});
+    std::ostringstream json, csv;
+    JsonSink().write(json, {run});
+    CsvSink().write(csv, {run});
+    EXPECT_EQ(json.str().find("intra_jobs"), std::string::npos);
+    EXPECT_EQ(csv.str().find("intra_jobs"), std::string::npos);
 
-    // Identical documents: zero violations, PASS line.
-    std::ostringstream ok;
-    EXPECT_EQ(compareEventCounts(base, cur, EventCompareOptions{},
-                                 ok),
-              0u);
-    EXPECT_NE(ok.str().find("compare-events: PASS"),
-              std::string::npos);
+    // A serial cell that still carries intra_jobs = 1 loads; any
+    // other value was never comparable to serial ticks, so the
+    // reader throws and names the cell.
+    auto results = [](const std::string &intra) {
+        return "{\"schema\": \"rnuma-sweep-results/v8\","
+               " \"figures\": [{\"name\": \"small\","
+               " \"scale\": 0.05, \"jobs\": 1, \"cells\": ["
+               "{\"app\": \"moldyn\", \"config\": \"ccnuma\","
+               " \"intra_jobs\": " + intra + ","
+               " \"stats\": {\"ticks\": 42, \"events\": 7}}]}]}";
+    };
+    ResultDoc serial = loadResults(results("1"));
+    ASSERT_EQ(serial.figures.size(), 1u);
+    EXPECT_EQ(serial.figures[0].cells[0].ticks, 42u);
+    for (const char *bad : {"2", "0", "\"4\""}) {
+        try {
+            loadResults(results(bad));
+            ADD_FAILURE() << "intra_jobs " << bad << " accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("small/moldyn/ccnuma"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 
-    // A structural counter (refs) is exact: drift of 1 fails.
-    ResultDoc drifted = cur;
-    drifted.figures[0].cells[1].counters["refs"] += 1;
-    std::ostringstream bad;
-    EXPECT_GT(compareEventCounts(base, drifted,
-                                 EventCompareOptions{}, bad),
-              0u);
-    EXPECT_NE(bad.str().find("refs drifted"), std::string::npos);
-
-    // Protocol counters carry slack: within it passes, beyond fails.
-    ResultDoc nudged = cur;
-    nudged.figures[0].cells[1].counters["remote_fetches"] += 10;
-    std::ostringstream near_ok;
-    EXPECT_EQ(compareEventCounts(base, nudged,
-                                 EventCompareOptions{}, near_ok),
-              0u);
-    EventCompareOptions tight;
-    tight.tolerancePct = 0.0;
-    tight.absSlack = 2;
-    std::ostringstream near_bad;
-    EXPECT_GT(
-        compareEventCounts(base, nudged, tight, near_bad), 0u);
-    EXPECT_NE(near_bad.str().find("remote_fetches diverged"),
-              std::string::npos);
-
-    // Ticks are explicitly NOT part of the contract.
-    ResultDoc retimed = cur;
-    retimed.figures[0].cells[2].ticks += 12345;
-    std::ostringstream timing;
-    EXPECT_EQ(compareEventCounts(base, retimed,
-                                 EventCompareOptions{}, timing),
-              0u);
-
-    // A missing cell is coverage loss, as in compareResults.
-    ResultDoc missing = cur;
-    missing.figures[0].cells.pop_back();
-    std::ostringstream lost;
-    EXPECT_GT(compareEventCounts(base, missing,
-                                 EventCompareOptions{}, lost),
-              0u);
-}
-
-TEST(CompareGate, IntraJobsMismatchFailsTickCompare)
-{
-    Sweep s = smallSweep();
-    FigureRun run = wrap(s, SweepRunner(1).run(s));
-    ResultDoc base = resultsOf({run});
-    ResultDoc cur = base;
-    cur.figures[0].cells[0].intraJobs = 2;
-    std::ostringstream os;
-    EXPECT_GT(compareResults(base, cur, CompareOptions{-1}, os),
-              0u);
-    EXPECT_NE(os.str().find("intra_jobs changed"),
-              std::string::npos);
-    // The event gate is the sanctioned cross-engine comparison.
-    std::ostringstream ev;
-    EXPECT_EQ(compareEventCounts(base, cur, EventCompareOptions{},
-                                 ev),
-              0u);
+    // Bench artifacts: same rule at document level.
+    BenchDoc doc;
+    doc.runs = 3;
+    std::ostringstream bench;
+    writeBench(bench, doc);
+    EXPECT_EQ(bench.str().find("intra_jobs"), std::string::npos);
+    auto benchDoc = [](const std::string &intra) {
+        return "{\"schema\": \"rnuma-bench/v1\", \"runs\": 3,"
+               " \"scale\": 0.1, \"jobs\": 1, \"intra_jobs\": " +
+            intra + ", \"figures\": []}";
+    };
+    EXPECT_EQ(loadBench(benchDoc("1")).runs, 3u);
+    EXPECT_THROW(loadBench(benchDoc("4")), std::runtime_error);
 }
 
 TEST(CompareGate, AcceptsV1BaselinesWithoutEvents)

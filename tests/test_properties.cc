@@ -8,9 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "core/analytic_model.hh"
 #include "proto/directory.hh"
+#include "proto/registry.hh"
+#include "rad/ccnuma_rad.hh"
 #include "sim/machine.hh"
 #include "sim/runner.hh"
 #include "workload/micro.hh"
@@ -156,7 +160,90 @@ checkDirectoryInvariants(Machine &m)
     EXPECT_GT(walked, 0u);
 }
 
+/**
+ * Machine-level Dir_iB coverage: on a 16-node, one-CPU-per-node
+ * CC-NUMA machine, the CPUs of @p readers each read one block homed
+ * on node 0, every CPU meets at a barrier, then node 0 writes the
+ * block. Runs under @p dir ("full-map", "limited-pointer-4",
+ * "coarse-vector-4"), checks that the writer ends as the only holder
+ * of the block everywhere, and returns the invalidations the write
+ * sent.
+ */
+std::uint64_t
+writeAfterWideSharing(const std::string &dir,
+                      const std::vector<NodeId> &readers)
+{
+    SCOPED_TRACE(dir);
+    Params p = test::paperParams();
+    p.numNodes = 16;
+    p.cpusPerNode = 1;
+    if (dir == "limited-pointer-4") {
+        p.dirFormat = SharerFormat::LimitedPointer;
+        p.dirPointers = 4;
+    } else if (dir == "coarse-vector-4") {
+        p.dirFormat = SharerFormat::CoarseVector;
+        p.dirRegionSize = 4;
+    }
+    p.validate();
+    EXPECT_EQ(p.directoryId(), dir);
+
+    const Addr block = 0x40000;
+    VectorWorkload wl("wide-share", p.numCpus());
+    wl.push(0, Ref::touchOf(block)); // home the page on node 0
+    for (NodeId n : readers)
+        wl.push(n, Ref::mem(block, false, 1));
+    wl.pushBarrierAll();
+    wl.push(0, Ref::mem(block, true, 1));
+    wl.seal();
+    wl.reset();
+
+    Machine m(p, *findProtocolSpec("ccnuma"), wl);
+    RunStats s = m.run();
+    EXPECT_EQ(m.placement().homeOf(block / p.pageSize), 0u);
+    checkDirectoryInvariants(m);
+
+    // The writer is the registered owner and the only true holder:
+    // its L1 has the block Modified; no other L1 or block cache has
+    // it at all.
+    const ConstDirEntry e = m.protocol().directory().peek(block);
+    EXPECT_TRUE(e && e.hasOwner() && e.owner() == 0);
+    EXPECT_FALSE(e.sharers.overflowed());
+    EXPECT_EQ(e.sharerCount(),
+              p.dirFormat == SharerFormat::CoarseVector ? 4u : 1u);
+    const CacheLine *mine = m.node(0).l1(0).find(block);
+    EXPECT_TRUE(mine && mine->state == CacheState::Modified);
+    for (NodeId n = 1; n < p.numNodes; ++n) {
+        const CacheLine *l1 = m.node(n).l1(0).find(block);
+        EXPECT_FALSE(l1 && l1->valid()) << "node " << n << " L1";
+        const auto &rad =
+            dynamic_cast<const CcNumaRad &>(m.node(n).rad());
+        const CacheLine *bc = rad.blockCache().find(block);
+        EXPECT_FALSE(bc && bc->valid()) << "node " << n << " RAD";
+    }
+    return s.invalidationsSent;
+}
+
 } // namespace
+
+TEST(Properties, LimitedPointerBroadcastsOnlyAfterOverflow)
+{
+    // Every node reads: all three formats name all 16 nodes, and the
+    // write invalidates the 15 that are not the writer.
+    std::vector<NodeId> all;
+    for (NodeId n = 0; n < 16; ++n)
+        all.push_back(n);
+    for (const char *dir :
+         {"full-map", "limited-pointer-4", "coarse-vector-4"})
+        EXPECT_EQ(writeAfterWideSharing(dir, all), 15u) << dir;
+
+    // Nodes 1-6 read: full-map is exact, four pointers overflow to a
+    // broadcast of every node but the writer, and 4-node regions
+    // {0-3} and {4-7} cover nodes 0-7 less the writer.
+    const std::vector<NodeId> some = {1, 2, 3, 4, 5, 6};
+    EXPECT_EQ(writeAfterWideSharing("full-map", some), 6u);
+    EXPECT_EQ(writeAfterWideSharing("limited-pointer-4", some), 15u);
+    EXPECT_EQ(writeAfterWideSharing("coarse-vector-4", some), 7u);
+}
 
 TEST(Properties, OwnerImpliesSharerBit)
 {

@@ -174,16 +174,6 @@ expectSameAs(const SharerSet &s, const test::OracleSharerSet &o,
         without.reset(n);
         ASSERT_EQ(s.noneExcept(n), without.none())
             << what << " except " << n;
-        NodeId lo = static_cast<NodeId>(rng() % (nodes + 1));
-        NodeId hi = static_cast<NodeId>(rng() % (nodes + 1));
-        if (lo > hi)
-            std::swap(lo, hi);
-        if (i == 0) {
-            lo = 0;
-            hi = static_cast<NodeId>(nodes);
-        }
-        ASSERT_EQ(s.withinRange(lo, hi), o.withinRange(lo, hi))
-            << what << " range [" << lo << ", " << hi << ")";
     }
 }
 

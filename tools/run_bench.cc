@@ -29,11 +29,6 @@
  *                        or 1)
  *   --jobs N             worker threads; 0 = hardware concurrency
  *                        (default 1)
- *   --intra-jobs N       partition each cell's machine into N
- *                        logical processes (default 1 = serial; the
- *                        committed BENCH trajectory is serial —
- *                        counters are not comparable across values,
- *                        and --bench-compare fails on a mismatch)
  *   --out FILE           write the rnuma-bench/v1 JSON artifact
  *   --bench-compare FILE diff against a stored bench artifact:
  *                        exact counters, tolerance on events/sec
@@ -86,8 +81,6 @@ usage(std::ostream &os, int status)
           "RNUMA_BENCH_SCALE or 1)\n"
           "  --jobs N             worker threads (0 = hardware "
           "concurrency; default 1)\n"
-          "  --intra-jobs N       intra-cell machine partitions "
-          "(default 1 = serial)\n"
           "  --out FILE           write the rnuma-bench/v1 JSON "
           "artifact\n"
           "  --bench-compare FILE diff against a stored bench "
@@ -130,7 +123,6 @@ main(int argc, char **argv)
     std::size_t runs = 5;
     double scale = envScale();
     std::size_t jobs = 1;
-    std::size_t intra_jobs = 1;
     std::string out_path;
     std::string compare_path;
     std::string current_path;
@@ -219,17 +211,6 @@ main(int argc, char **argv)
                 return 2;
             }
             jobs = static_cast<std::size_t>(j);
-        } else if (arg == "--intra-jobs") {
-            const char *val = next();
-            char *end = nullptr;
-            long j = std::strtol(val, &end, 10);
-            if (end == val || *end != '\0' || j < 1) {
-                std::cerr << "rnuma_bench: --intra-jobs wants a "
-                             "positive integer, got '" << val
-                          << "'\n";
-                return 2;
-            }
-            intra_jobs = static_cast<std::size_t>(j);
         } else if (arg == "--rate-tolerance") {
             const char *val = next();
             char *end = nullptr;
@@ -308,7 +289,6 @@ main(int argc, char **argv)
     FigureOptions opt;
     opt.scale = scale;
     opt.workloads = workloads;
-    opt.intraJobs = intra_jobs;
     // One workload cache across every run of every figure: run 0
     // generates, runs 1..N-1 replay snapshots.
     WorkloadCache process_cache;
@@ -318,7 +298,6 @@ main(int argc, char **argv)
     doc.runs = runs;
     doc.scale = scale;
     doc.jobs = jobs;
-    doc.intraJobs = intra_jobs;
     // rates[figure][cell] accumulates one events/sec sample per run.
     std::vector<std::vector<std::vector<double>>> rates(specs.size());
 
