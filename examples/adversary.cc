@@ -40,10 +40,11 @@ main(int argc, char **argv)
         Params p = base;
         p.relocationThreshold = T;
         auto wl = makeAdversary(p, pages, T + 1);
-        ProtocolComparison c = compareProtocols(p, *wl);
-        double o_cc = c.normCC() - 1.0;
-        double o_sc = c.normSC() - 1.0;
-        double o_rn = c.normRN() - 1.0;
+        ComparisonMatrix c = compareAll(
+            p, *wl, protocolSpecs({"ccnuma", "scoma", "rnuma"}));
+        double o_cc = c.norm("ccnuma") - 1.0;
+        double o_sc = c.norm("scoma") - 1.0;
+        double o_rn = c.norm("rnuma") - 1.0;
         double best = std::min(o_cc, o_sc);
         t.addRow({std::to_string(T), Table::num(o_cc, 3),
                   Table::num(o_sc, 3), Table::num(o_rn, 3),

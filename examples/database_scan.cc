@@ -38,24 +38,20 @@ main(int argc, char **argv)
     // this example has always run.
     auto wl = makeWorkload("database-scan", p, 1.0, 0xdb,
                            "transactions=" + std::to_string(txns));
-    ProtocolComparison c = compareProtocols(p, *wl);
+    ComparisonMatrix c = compareAll(
+        p, *wl, protocolSpecs({"ccnuma", "scoma", "rnuma"}));
 
     Table t({"protocol", "normalized time", "refetches",
              "relocations", "replacements"});
-    auto row = [&](const char *n, const RunStats &s) {
-        t.addRow({n,
-                  Table::num(static_cast<double>(s.ticks) /
-                             static_cast<double>(c.baseline.ticks)),
-                  std::to_string(s.refetches),
-                  std::to_string(s.relocations),
-                  std::to_string(s.scomaReplacements)});
-    };
-    row("CC-NUMA", c.ccNuma);
-    row("S-COMA", c.sComa);
-    row("R-NUMA", c.rNuma);
+    for (const ComparisonEntry &e : c.entries) {
+        t.addRow({e.name, Table::num(c.norm(e.id)),
+                  std::to_string(e.stats.refetches),
+                  std::to_string(e.stats.relocations),
+                  std::to_string(e.stats.scomaReplacements)});
+    }
     t.print(std::cout);
 
-    std::cout << "\nR-NUMA relocated " << c.rNuma.relocations
+    std::cout << "\nR-NUMA relocated " << c.at("rnuma").stats.relocations
               << " hot buffer-pool pages; the latch page's "
                  "coherence traffic\nnever counts as refetches, so "
                  "it stays CC-NUMA — the per-page split the\npaper "

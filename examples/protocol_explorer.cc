@@ -61,7 +61,7 @@ main()
 
     auto wl = explorerStream(p);
 
-    Machine m(p, Protocol::RNuma, *wl);
+    Machine m(p, protocolSpec("rnuma"), *wl);
     RunStats s = m.run();
 
     std::cout << "after 12 alternations over two conflicting remote "

@@ -1,13 +1,9 @@
 #include "driver/compare.hh"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "driver/json.hh"
 #include "net/registry.hh"
-#include "proto/registry.hh"
 #include "workload/registry.hh"
 
 namespace rnuma::driver
@@ -15,19 +11,6 @@ namespace rnuma::driver
 
 namespace
 {
-
-/**
- * Scales match when equal to ~6 significant digits: pre-v2 baselines
- * were serialized with %.6g, so exact double equality would reject a
- * baseline recorded by the very same command line.
- */
-bool
-sameScale(double a, double b)
-{
-    double mag = std::fabs(a) > std::fabs(b) ? std::fabs(a)
-                                             : std::fabs(b);
-    return std::fabs(a - b) <= mag * 1e-5;
-}
 
 double
 numberOr(const JsonValue *v, double fallback)
@@ -80,25 +63,17 @@ ResultDoc::find(const std::string &name) const
     return nullptr;
 }
 
-int
-ResultDoc::version() const
-{
-    const std::string prefix = "rnuma-sweep-results/v";
-    if (schema.rfind(prefix, 0) != 0)
-        return 0;
-    return std::atoi(schema.c_str() + prefix.size());
-}
-
 ResultDoc
 loadResults(const std::string &json_text)
 {
     JsonValue doc = parseJson(json_text);
     ResultDoc out;
     out.schema = stringOr(doc.get("schema"), "");
-    if (out.schema.rfind("rnuma-sweep-results/", 0) != 0)
+    if (out.schema != "rnuma-sweep-results/v8" &&
+        out.schema != "rnuma-sweep-results/v7")
         throw std::runtime_error(
-            "not an rnuma-sweep-results document (schema '" +
-            out.schema + "')");
+            "unsupported results schema '" + out.schema +
+            "' (expected rnuma-sweep-results/v8 or /v7)");
     const JsonValue *figures = doc.get("figures");
     if (!figures || !figures->isArray())
         throw std::runtime_error("missing 'figures' array");
@@ -109,78 +84,41 @@ loadResults(const std::string &json_text)
         f.jobs = static_cast<std::size_t>(
             numberOr(jf.get("jobs"), 1));
         f.wallMs = numberOr(jf.get("wall_ms"), 0);
-        // v4 carries the distinct protocol ids per figure; older
-        // documents reconstruct the list from their cells below, so
-        // the field is populated for any baseline age.
-        const JsonValue *protos = jf.get("protocols");
-        if (protos && protos->isArray()) {
-            for (const JsonValue &jp : protos->array) {
-                if (jp.kind == JsonValue::Kind::String)
-                    f.protocols.push_back(
-                        canonicalProtocolId(jp.str));
-            }
-        }
         const JsonValue *cells = jf.get("cells");
         if (cells && cells->isArray()) {
             for (const JsonValue &jc : cells->array) {
                 ResultCell c;
                 c.app = stringOr(jc.get("app"), "?");
                 c.config = stringOr(jc.get("config"), "?");
-                // Enum-era labels ("CC-NUMA") canonicalize to the
-                // stable registry ids ("ccnuma") on load, so v1-v3
-                // baselines diff cleanly against v4 results.
-                std::string proto =
-                    stringOr(jc.get("protocol"), "");
-                if (!proto.empty())
-                    c.protocol = canonicalProtocolId(proto);
-                // v5 carries per-cell network/directory ids; older
-                // documents predate both axes, so their cells keep
-                // the "constant"/"full-map" defaults — the only
-                // configuration those baselines could have run.
+                std::string where =
+                    f.name + "/" + c.app + "/" + c.config;
+                c.protocol = stringOr(jc.get("protocol"), "");
                 c.network = canonicalNetworkId(
                     stringOr(jc.get("network"), c.network));
                 c.directory =
                     stringOr(jc.get("directory"), c.directory);
-                // v7 carries the per-cell workload-registry id;
-                // older documents predate the workload registry,
-                // so their cells keep the "" (unknown) default.
                 c.workload = canonicalWorkloadId(
                     stringOr(jc.get("workload"), c.workload));
-                refuseIntraJobs(jc.get("intra_jobs"),
-                                f.name + "/" + c.app + "/" +
-                                    c.config);
+                refuseIntraJobs(jc.get("intra_jobs"), where);
                 c.wallMs = numberOr(jc.get("wall_ms"), 0);
                 const JsonValue *stats = jc.get("stats");
-                if (stats) {
-                    c.ticks = static_cast<std::uint64_t>(
-                        numberOr(stats->get("ticks"), 0));
-                    const JsonValue *ev = stats->get("events");
-                    if (ev) {
-                        c.events = static_cast<std::uint64_t>(
-                            numberOr(ev, 0));
-                        c.hasEvents = true;
-                    }
-                    // The whole numeric stats object, for the
-                    // event-count gate; names follow statFields().
-                    for (const auto &kv : stats->object) {
-                        if (kv.second.kind ==
-                            JsonValue::Kind::Number)
-                            c.counters[kv.first] =
-                                static_cast<std::uint64_t>(
-                                    kv.second.number);
-                    }
+                const JsonValue *ev = stats ? stats->get("events")
+                                            : nullptr;
+                if (!ev || ev->kind != JsonValue::Kind::Number)
+                    throw std::runtime_error(
+                        where + ": cell has no stats.events");
+                c.events = static_cast<std::uint64_t>(ev->number);
+                c.ticks = static_cast<std::uint64_t>(
+                    numberOr(stats->get("ticks"), 0));
+                // The whole numeric stats object, for the
+                // event-count gate; names follow statFields().
+                for (const auto &kv : stats->object) {
+                    if (kv.second.kind == JsonValue::Kind::Number)
+                        c.counters[kv.first] =
+                            static_cast<std::uint64_t>(
+                                kv.second.number);
                 }
                 f.cells.push_back(std::move(c));
-            }
-        }
-        if (f.protocols.empty()) {
-            for (const ResultCell &c : f.cells) {
-                if (c.protocol.empty())
-                    continue;
-                if (std::find(f.protocols.begin(),
-                              f.protocols.end(),
-                              c.protocol) == f.protocols.end())
-                    f.protocols.push_back(c.protocol);
             }
         }
         out.figures.push_back(std::move(f));
@@ -199,7 +137,6 @@ resultsOf(const std::vector<FigureRun> &runs)
         f.scale = run.scale;
         f.jobs = run.jobs;
         f.wallMs = run.wallMs;
-        f.protocols = protocolsOf(run.result);
         for (const CellResult &c : run.result.cells) {
             ResultCell rc;
             rc.app = c.app;
@@ -212,7 +149,6 @@ resultsOf(const std::vector<FigureRun> &runs)
             rc.workload = c.workload;
             rc.ticks = c.stats.ticks;
             rc.events = c.stats.events;
-            rc.hasEvents = true;
             rc.wallMs = c.wallMs;
             for (const StatField &f : statFields())
                 rc.counters[f.name] = f.get(c.stats);
@@ -232,27 +168,6 @@ compareResults(const ResultDoc &baseline, const ResultDoc &current,
         violations++;
         os << "FAIL: " << msg << "\n";
     };
-    // Pre-v3 baselines carry enum-era display names that collapse
-    // policy variants (every fig8 threshold cell was "R-NUMA"), so a
-    // protocol-id change against them is informational only.
-    bool protocolComparable =
-        baseline.version() >= 3 && current.version() >= 3;
-    // Pre-v5 documents carried no network/directory ids (their cells
-    // loaded with the "constant"/"full-map" defaults), so an id
-    // change against them is informational only.
-    bool networkComparable =
-        baseline.version() >= 5 && current.version() >= 5;
-    // Pre-v7 documents carried no per-cell workload ids (their cells
-    // loaded with the "" default), so an id change against them is
-    // informational only.
-    bool workloadComparable =
-        baseline.version() >= 7 && current.version() >= 7;
-    // Pre-v8 documents carried no residency-feedback counters, so a
-    // difference against them is informational only. (Absent keys
-    // never diff: the check below requires the counter on both
-    // sides.)
-    bool feedbackComparable =
-        baseline.version() >= 8 && current.version() >= 8;
     static const char *const feedbackCounters[] = {
         "evictions_zero_hit", "evicted_page_hits"};
 
@@ -262,7 +177,7 @@ compareResults(const ResultDoc &baseline, const ResultDoc &current,
             fail(bf.name + ": figure missing from current results");
             continue;
         }
-        if (!sameScale(bf.scale, cf->scale)) {
+        if (bf.scale != cf->scale) {
             fail(bf.name + ": scale changed (baseline " +
                  std::to_string(bf.scale) + ", current " +
                  std::to_string(cf->scale) +
@@ -286,8 +201,7 @@ compareResults(const ResultDoc &baseline, const ResultDoc &current,
                      std::to_string(cc->ticks) + ")");
                 figure_drift++;
             }
-            if (bc.hasEvents && cc->hasEvents &&
-                bc.events != cc->events) {
+            if (bc.events != cc->events) {
                 fail(bf.name + "/" + bc.app + "/" + bc.config +
                      ": events drifted (baseline " +
                      std::to_string(bc.events) + ", current " +
@@ -296,68 +210,41 @@ compareResults(const ResultDoc &baseline, const ResultDoc &current,
             }
             if (!bc.protocol.empty() && !cc->protocol.empty() &&
                 bc.protocol != cc->protocol) {
-                std::string msg = bf.name + "/" + bc.app + "/" +
-                    bc.config + ": protocol changed (baseline '" +
-                    bc.protocol + "', current '" + cc->protocol +
-                    "')";
-                if (protocolComparable) {
-                    fail(msg);
-                    figure_drift++;
-                } else {
-                    os << "note: " << msg
-                       << " — pre-v3 baseline, label shim only\n";
-                }
+                fail(bf.name + "/" + bc.app + "/" + bc.config +
+                     ": protocol changed (baseline '" + bc.protocol +
+                     "', current '" + cc->protocol + "')");
+                figure_drift++;
             }
             if (bc.network != cc->network ||
                 bc.directory != cc->directory) {
-                std::string msg = bf.name + "/" + bc.app + "/" +
-                    bc.config + ": network/directory changed "
-                    "(baseline '" + bc.network + "'/'" +
-                    bc.directory + "', current '" + cc->network +
-                    "'/'" + cc->directory + "')";
-                if (networkComparable) {
-                    fail(msg);
-                    figure_drift++;
-                } else {
-                    os << "note: " << msg
-                       << " — pre-v5 baseline, defaults assumed\n";
-                }
+                fail(bf.name + "/" + bc.app + "/" + bc.config +
+                     ": network/directory changed (baseline '" +
+                     bc.network + "'/'" + bc.directory +
+                     "', current '" + cc->network + "'/'" +
+                     cc->directory + "')");
+                figure_drift++;
             }
             if (!bc.workload.empty() && !cc->workload.empty() &&
                 bc.workload != cc->workload) {
-                std::string msg = bf.name + "/" + bc.app + "/" +
-                    bc.config + ": workload changed (baseline '" +
-                    bc.workload + "', current '" + cc->workload +
-                    "')";
-                if (workloadComparable) {
-                    fail(msg);
-                    figure_drift++;
-                } else {
-                    os << "note: " << msg
-                       << " — pre-v7 baseline, no workload ids\n";
-                }
+                fail(bf.name + "/" + bc.app + "/" + bc.config +
+                     ": workload changed (baseline '" + bc.workload +
+                     "', current '" + cc->workload + "')");
+                figure_drift++;
             }
+            // v7 documents carry no feedback counters; a counter
+            // absent on either side is not compared.
             for (const char *name : feedbackCounters) {
                 auto bit = bc.counters.find(name);
                 auto cit = cc->counters.find(name);
                 if (bit == bc.counters.end() ||
-                    cit == cc->counters.end())
-                    continue; // pre-v8 side: counter absent
-                if (bit->second == cit->second)
+                    cit == cc->counters.end() ||
+                    bit->second == cit->second)
                     continue;
-                std::string msg = bf.name + "/" + bc.app + "/" +
-                    bc.config + ": " + name +
-                    " drifted (baseline " +
-                    std::to_string(bit->second) + ", current " +
-                    std::to_string(cit->second) + ")";
-                if (feedbackComparable) {
-                    fail(msg);
-                    figure_drift++;
-                } else {
-                    os << "note: " << msg
-                       << " — pre-v8 document, feedback counters "
-                          "not comparable\n";
-                }
+                fail(bf.name + "/" + bc.app + "/" + bc.config + ": " +
+                     name + " drifted (baseline " +
+                     std::to_string(bit->second) + ", current " +
+                     std::to_string(cit->second) + ")");
+                figure_drift++;
             }
         }
         for (const ResultCell &cc : cf->cells) {
@@ -439,10 +326,10 @@ loadBench(const std::string &json_text)
     JsonValue doc = parseJson(json_text);
     BenchDoc out;
     out.schema = stringOr(doc.get("schema"), "");
-    if (out.schema.rfind("rnuma-bench/", 0) != 0)
+    if (out.schema != "rnuma-bench/v1")
         throw std::runtime_error(
-            "not an rnuma-bench document (schema '" + out.schema +
-            "')");
+            "unsupported bench schema '" + out.schema +
+            "' (expected rnuma-bench/v1)");
     out.runs =
         static_cast<std::size_t>(numberOr(doc.get("runs"), 0));
     out.scale = numberOr(doc.get("scale"), 1.0);
@@ -462,10 +349,7 @@ loadBench(const std::string &json_text)
                 BenchCell c;
                 c.app = stringOr(jc.get("app"), "?");
                 c.config = stringOr(jc.get("config"), "?");
-                std::string proto =
-                    stringOr(jc.get("protocol"), "");
-                if (!proto.empty())
-                    c.protocol = canonicalProtocolId(proto);
+                c.protocol = stringOr(jc.get("protocol"), "");
                 c.events = static_cast<std::uint64_t>(
                     numberOr(jc.get("events"), 0));
                 c.ticks = static_cast<std::uint64_t>(
@@ -564,7 +448,7 @@ compareBench(const BenchDoc &baseline, const BenchDoc &current,
             fail(bf.name + ": figure missing from current bench");
             continue;
         }
-        if (!sameScale(bf.scale, cf->scale)) {
+        if (bf.scale != cf->scale) {
             fail(bf.name + ": scale changed (baseline " +
                  std::to_string(bf.scale) + ", current " +
                  std::to_string(cf->scale) +

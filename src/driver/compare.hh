@@ -34,40 +34,25 @@ struct ResultCell
 {
     std::string app;
     std::string config;
-    /**
-     * Canonical protocol id, already passed through
-     * canonicalProtocolId(): enum-era labels in v1/v2 baselines
-     * ("CC-NUMA") read back as the stable id ("ccnuma"). Empty when
-     * the document carried none.
-     */
+    /** Protocol spec id ("ccnuma"); empty when the cell has none. */
     std::string protocol;
-    /**
-     * Canonical network-model id. Pre-v5 documents carried none;
-     * their cells default to "constant" (the only interconnect that
-     * existed), so v1-v4 baselines stay comparable.
-     */
+    /** Canonical network-model id. */
     std::string network = "constant";
-    /**
-     * Canonical directory-format id; pre-v5 cells default to
-     * "full-map" for the same reason.
-     */
+    /** Directory-format id. */
     std::string directory = "full-map";
     /**
      * Canonical workload-registry id of the cell's generator
-     * ("barnes", "zipf-serve", ...). Pre-v7 documents carried none;
-     * their cells default to "" (unknown), and the gate reports a
-     * workload mismatch against them as a note, not a violation.
+     * ("barnes", "zipf-serve", ...); "" for an ad-hoc factory, which
+     * the gate does not compare.
      */
     std::string workload;
     std::uint64_t ticks = 0;
-    /** Scheduler events; hasEvents false for v1 baselines. */
+    /** Scheduler events. */
     std::uint64_t events = 0;
-    bool hasEvents = false;
     double wallMs = 0;
     /**
      * Every numeric field of the cell's serialized "stats" object,
      * by field name (the v8 feedback counters are diffed from it).
-     * Empty for v1 baselines (which carried no stats).
      */
     std::map<std::string, std::uint64_t> counters;
 };
@@ -79,38 +64,29 @@ struct ResultFigure
     double scale = 1.0;
     std::size_t jobs = 1;
     double wallMs = 0;
-    /**
-     * The v4 per-figure "protocols" array (distinct canonical spec
-     * ids, first-appearance order); reconstructed from the cells for
-     * pre-v4 documents, so consumers can rely on it regardless of
-     * the baseline's age.
-     */
-    std::vector<std::string> protocols;
     std::vector<ResultCell> cells;
 
     const ResultCell *find(const std::string &app,
                            const std::string &config) const;
 };
 
-/** A parsed results document (any schema version). */
+/** A parsed results document. */
 struct ResultDoc
 {
     std::string schema;
     std::vector<ResultFigure> figures;
 
     const ResultFigure *find(const std::string &name) const;
-
-    /** Numeric schema version (the N of rnuma-sweep-results/vN). */
-    int version() const;
 };
 
 /**
- * Extract the comparable slice from a parsed rnuma-sweep-results
- * document (v1 through v8). Throws std::runtime_error on documents
- * that are not sweep results at all, and on a cell whose
- * "intra_jobs" is present and not 1: it ran under the removed
- * parallel intra-cell engine, whose ticks were never comparable to
- * serial runs.
+ * Extract the comparable slice from a parsed results document: the
+ * current schema (rnuma-sweep-results/v8) or the previous one (v7,
+ * which lacks the feedback counters). Throws std::runtime_error on
+ * any other schema (the message names it), on a cell without
+ * stats.events, and on a cell whose "intra_jobs" is present and not
+ * 1: it ran under the removed parallel intra-cell engine, whose
+ * ticks were never comparable to serial runs.
  */
 ResultDoc loadResults(const std::string &json_text);
 
@@ -137,12 +113,9 @@ struct CompareOptions
  * - per-cell `ticks` or `events` drift — exact comparison, any
  *   difference fails (the simulator is deterministic, so drift means
  *   behavior changed without the baseline being re-recorded);
- * - a cell's canonical protocol id changing, when BOTH documents are
- *   v3 or newer (pre-v3 baselines carry enum-era labels that cannot
- *   distinguish policy variants — e.g. fig8's per-threshold specs
- *   all serialized as "R-NUMA" — so against those the id change is a
- *   note, not a violation: the string-mapping shim that keeps the
- *   first post-registry PR from false-failing on an old artifact);
+ * - a cell's protocol, network, directory or workload id changing;
+ * - a feedback counter ("evictions_zero_hit", "evicted_page_hits")
+ *   drifting, when both cells carry it (v7 cells do not);
  * - per-figure wall time above baseline by more than the tolerance.
  *
  * Figures whose scale differs from the baseline's are a violation
@@ -205,9 +178,9 @@ struct BenchDoc
 };
 
 /**
- * Parse a bench artifact. Throws std::runtime_error on documents
- * that are not rnuma-bench at all, and (as loadResults does) on an
- * "intra_jobs" other than 1.
+ * Parse a bench artifact. Throws std::runtime_error on any schema
+ * but rnuma-bench/v1 (the message names it), and (as loadResults
+ * does) on an "intra_jobs" other than 1.
  */
 BenchDoc loadBench(const std::string &json_text);
 

@@ -13,31 +13,25 @@ namespace
 
 // v2 added per-cell "events" (in stats) and "events_per_sec", plus
 // the figure-level workload-cache counters — the fields the
-// perf-baseline gate (rnuma_sweep --compare) consumes. v3 switches
-// the per-cell "protocol" field from the enum-era display name
-// ("CC-NUMA") to the registry's stable spec id ("ccnuma",
-// "rnuma-t16", ...) and adds "protocol_name" with the display name;
-// the gate canonicalizes enum-era labels when reading older
-// baselines. v4 adds the per-figure "protocols" array: the distinct
-// spec ids the figure's cells ran, in first-appearance order — the
-// field CI validates to prove a registered protocol actually
-// reached the figure pipeline. v5 adds the per-cell "network" and
-// "directory" ids (the interconnect model and directory sharer-set
-// format the cell ran under) and the net_*/dir_* stat fields; the
-// gate defaults pre-v5 cells to "constant"/"full-map". v6 added a
-// per-cell "intra_jobs" field for a since-removed parallel engine;
-// writers no longer emit it, and readers refuse a cell that carries
-// any value other than 1 (such ticks were never comparable to
-// serial runs). v7
-// adds the per-cell "workload" field: the workload-registry id of
-// the generator behind the cell ("barnes", "zipf-serve", ...; ""
-// for an ad-hoc factory). Pre-v7 cells carried no workload ids, so
-// the gate treats a workload mismatch against older baselines as a
-// note, not a violation. v8 adds the residency-feedback counters
-// "evictions_zero_hit" / "evicted_page_hits" (how wasted the
-// evicted relocations were); they are absent from pre-v8 baselines,
-// so the gate only enforces them when both documents are v8+ and
-// reports pre-v8 differences as notes.
+// perf-baseline gate (rnuma_sweep --compare) consumes. v3 switched
+// the per-cell "protocol" field from the display name ("CC-NUMA") to
+// the registry's stable spec id ("ccnuma", "rnuma-t16", ...) and
+// added "protocol_name" with the display name. v4 added the
+// per-figure "protocols" array: the distinct spec ids the figure's
+// cells ran, in first-appearance order — the field CI validates to
+// prove a registered protocol actually reached the figure pipeline.
+// v5 added the per-cell "network" and "directory" ids (the
+// interconnect model and directory sharer-set format the cell ran
+// under) and the net_*/dir_* stat fields. v6 added a per-cell
+// "intra_jobs" field for a since-removed parallel engine; writers no
+// longer emit it, and readers refuse a cell that carries any value
+// other than 1 (such ticks were never comparable to serial runs). v7
+// added the per-cell "workload" field: the workload-registry id of
+// the generator behind the cell ("barnes", "zipf-serve", ...; "" for
+// an ad-hoc factory). v8 adds the residency-feedback counters
+// "evictions_zero_hit" / "evicted_page_hits" (how wasted the evicted
+// relocations were). The gate reads v8 and v7 only, and compares the
+// feedback counters when both documents carry them.
 constexpr const char *schemaName = "rnuma-sweep-results/v8";
 
 std::uint64_t

@@ -26,23 +26,6 @@ envScale()
     return s;
 }
 
-std::size_t
-envJobs()
-{
-    const char *env = std::getenv("RNUMA_BENCH_JOBS");
-    if (!env)
-        return 1;
-    char *end = nullptr;
-    long j = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || j < 0) {
-        warn("ignoring RNUMA_BENCH_JOBS='", env,
-             "' (want a non-negative integer; 0 = all cores); "
-             "using 1");
-        return 1;
-    }
-    return static_cast<std::size_t>(j);
-}
-
 WorkloadFactory
 appFactory(std::string app, const Params &gen, double scale,
            std::uint64_t seed)

@@ -51,13 +51,11 @@ std::string workloadCacheKey(const std::string &name,
                              std::uint64_t seed = 1);
 
 /**
- * The environment conventions shared by the bench harnesses and the
- * sweep CLI: RNUMA_BENCH_SCALE (workload scale, default 1.0) and
- * RNUMA_BENCH_JOBS (worker threads, 0 = hardware concurrency,
- * default 1). Unparseable values warn and fall back to the default.
+ * The default workload scale of rnuma_sweep and rnuma_bench:
+ * RNUMA_BENCH_SCALE, or 1.0 when unset. An unparseable value warns
+ * and falls back to 1.0.
  */
 double envScale();
-std::size_t envJobs();
 
 /** One independently runnable experiment point. */
 struct Cell

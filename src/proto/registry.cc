@@ -21,14 +21,6 @@ canonicalProtocolId(const std::string &name)
     for (char c : name)
         s.push_back(static_cast<char>(
             std::tolower(static_cast<unsigned char>(c))));
-    // Enum-era display names (protocolName()) map onto the stable
-    // ids so pre-registry baselines and call sites keep resolving.
-    if (s == "cc-numa")
-        return "ccnuma";
-    if (s == "s-coma")
-        return "scoma";
-    if (s == "r-numa")
-        return "rnuma";
     return s;
 }
 
@@ -217,8 +209,7 @@ ProtocolRegistry::add(ProtocolSpec spec)
                  "factory");
     RNUMA_ASSERT(spec.id == canonicalProtocolId(spec.id),
                  "protocol id '", spec.id,
-                 "' is not canonical (lowercase, no enum-era "
-                 "spelling)");
+                 "' is not canonical (lowercase)");
     std::unique_lock<std::shared_mutex> lock(mutex_);
     if (findLocked(spec.id)) {
         RNUMA_FATAL("protocol '", spec.id,
@@ -234,7 +225,7 @@ ProtocolRegistry::findLocked(const std::string &name) const
 {
     std::string id = canonicalProtocolId(name);
     for (const auto &s : specs_) {
-        if (s->id == id || canonicalProtocolId(s->displayName) == id)
+        if (s->id == id)
             return s.get();
     }
     return nullptr;
@@ -288,23 +279,6 @@ findProtocolSpec(const std::string &name)
     return ProtocolRegistry::global().find(name);
 }
 
-const char *
-protocolId(Protocol proto)
-{
-    switch (proto) {
-      case Protocol::CCNuma: return "ccnuma";
-      case Protocol::SComa:  return "scoma";
-      case Protocol::RNuma:  return "rnuma";
-    }
-    RNUMA_PANIC("unknown protocol enum value");
-}
-
-const ProtocolSpec &
-builtinSpec(Protocol proto)
-{
-    return protocolSpec(protocolId(proto));
-}
-
 std::unique_ptr<Rad>
 makeRad(const ProtocolSpec &spec, const Params &params, NodeId node,
         RadDeps deps)
@@ -312,13 +286,6 @@ makeRad(const ProtocolSpec &spec, const Params &params, NodeId node,
     RNUMA_ASSERT(spec.valid(), "protocol spec '", spec.id,
                  "' has no Rad factory");
     return spec.makeRad(params, node, deps);
-}
-
-std::unique_ptr<Rad>
-makeRad(Protocol proto, const Params &params, NodeId node,
-        RadDeps deps)
-{
-    return builtinSpec(proto).makeRad(params, node, deps);
 }
 
 } // namespace rnuma

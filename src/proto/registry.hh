@@ -1,8 +1,7 @@
 /**
  * @file
- * The protocol registry: string-keyed, composable system descriptions
- * replacing the closed CCNuma/SComa/RNuma enum as the simulator's
- * selection currency.
+ * The protocol registry: string-keyed, composable system descriptions,
+ * the simulator's selection currency.
  *
  * The paper's central observation (Section 3, Figure 4) is that
  * CC-NUMA, S-COMA, and R-NUMA differ only in their Remote Access
@@ -70,11 +69,9 @@ struct ProtocolSpec
 };
 
 /**
- * The process-wide name -> ProtocolSpec table. Lookup accepts the
- * stable id, the display name, and enum-era spellings
- * (case-insensitively), so pre-registry artifacts and call sites
- * keep resolving. Specs have stable addresses for the registry's
- * lifetime.
+ * The process-wide id -> ProtocolSpec table. Lookup matches the
+ * stable id case-insensitively; display names are for tables only.
+ * Specs have stable addresses for the registry's lifetime.
  *
  * Thread-safe: registration takes an exclusive lock and lookups a
  * shared one, so sweep workers may register and resolve specs
@@ -94,7 +91,7 @@ class ProtocolRegistry
      */
     const ProtocolSpec &add(ProtocolSpec spec);
 
-    /** Look up by id/display/enum-era name; nullptr when unknown. */
+    /** Look up by id (any case); nullptr when unknown. */
     const ProtocolSpec *find(const std::string &name) const;
 
     /** Look up; fatal (std::runtime_error under tests) when unknown. */
@@ -117,11 +114,9 @@ class ProtocolRegistry
 };
 
 /**
- * Normalize a protocol label to its stable id: lowercases and maps
- * the enum-era display names ("CC-NUMA" -> "ccnuma", "S-COMA" ->
- * "scoma", "R-NUMA" -> "rnuma"). Unknown labels pass through
- * lowercased — the shim the compare gate uses to diff v3 results
- * against enum-era baselines.
+ * Normalize a protocol name to its id form: lowercased ("CCNUMA" ->
+ * "ccnuma"). Display names are not ids ("CC-NUMA" stays "cc-numa"
+ * and resolves to nothing).
  */
 std::string canonicalProtocolId(const std::string &name);
 
@@ -130,12 +125,6 @@ const ProtocolSpec &protocolSpec(const std::string &name);
 
 /** Shorthand for ProtocolRegistry::global().find(name). */
 const ProtocolSpec *findProtocolSpec(const std::string &name);
-
-/** The registered spec of a legacy enum value. */
-const ProtocolSpec &builtinSpec(Protocol proto);
-
-/** Stable id of a legacy enum value ("ccnuma"/"scoma"/"rnuma"). */
-const char *protocolId(Protocol proto);
 
 /**
  * Build an unregistered hybrid-RAD spec (block cache + page cache +

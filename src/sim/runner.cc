@@ -28,17 +28,11 @@ runProtocol(const Params &params, const std::string &name,
 }
 
 RunStats
-runProtocol(const Params &params, Protocol protocol, Workload &wl)
-{
-    return runProtocol(params, builtinSpec(protocol), wl);
-}
-
-RunStats
 runInfiniteBaseline(const Params &params, Workload &wl)
 {
     Params base = params;
     base.infiniteBlockCache = true;
-    return runProtocol(base, Protocol::CCNuma, wl);
+    return runProtocol(base, "ccnuma", wl);
 }
 
 double
@@ -182,66 +176,6 @@ compareAll(const Params &params,
         }
     });
     return m;
-}
-
-namespace
-{
-
-ProtocolComparison
-shimOf(const ComparisonMatrix &m)
-{
-    ProtocolComparison c;
-    c.baseline = m.baseline;
-    c.ccNuma = m.at("ccnuma").stats;
-    c.sComa = m.at("scoma").stats;
-    c.rNuma = m.at("rnuma").stats;
-    return c;
-}
-
-std::vector<ProtocolSpec>
-builtinSpecs()
-{
-    return protocolSpecs({"ccnuma", "scoma", "rnuma"});
-}
-
-} // namespace
-
-double
-ProtocolComparison::normCC() const
-{
-    return normalizedTime(ccNuma.ticks, baseline.ticks);
-}
-
-double
-ProtocolComparison::normSC() const
-{
-    return normalizedTime(sComa.ticks, baseline.ticks);
-}
-
-double
-ProtocolComparison::normRN() const
-{
-    return normalizedTime(rNuma.ticks, baseline.ticks);
-}
-
-double
-ProtocolComparison::bestOfBase() const
-{
-    return std::min(normCC(), normSC());
-}
-
-ProtocolComparison
-compareProtocols(const Params &params, Workload &wl)
-{
-    return shimOf(compareAll(params, wl, builtinSpecs()));
-}
-
-ProtocolComparison
-compareProtocols(const Params &params,
-                 const std::function<std::unique_ptr<Workload>()> &make,
-                 std::size_t jobs)
-{
-    return shimOf(compareAll(params, make, builtinSpecs(), jobs));
 }
 
 } // namespace rnuma

@@ -8,8 +8,7 @@
  * the baseline plus one entry per ProtocolSpec it ran (by default
  * every registered protocol), so a newly registered policy protocol
  * shows up in quickstart, the smoke suite, and every example with no
- * further wiring. The fixed four-field ProtocolComparison survives as
- * a thin shim over a matrix restricted to the three paper systems.
+ * further wiring.
  */
 
 #ifndef RNUMA_SIM_RUNNER_HH
@@ -33,10 +32,6 @@ RunStats runProtocol(const Params &params, const ProtocolSpec &spec,
 
 /** Run a registered protocol by name (fatal when unknown). */
 RunStats runProtocol(const Params &params, const std::string &name,
-                     Workload &wl);
-
-/** Legacy-enum convenience: one of the three paper systems. */
-RunStats runProtocol(const Params &params, Protocol protocol,
                      Workload &wl);
 
 /** Run the Figure 6 baseline: CC-NUMA with an infinite block cache. */
@@ -133,47 +128,11 @@ compareAll(const Params &params,
            const std::vector<ProtocolSpec> &specs, std::size_t jobs);
 
 /**
- * Resolve registry names (ids, display names, enum-era spellings)
- * into specs for compareAll; fatal (throws under tests) on an
- * unknown name.
+ * Resolve registry ids (any case) into specs for compareAll; fatal
+ * (throws under tests) on an unknown id.
  */
 std::vector<ProtocolSpec>
 protocolSpecs(const std::vector<std::string> &names);
-
-/**
- * The legacy four-way comparison: a thin shim over a
- * ComparisonMatrix restricted to the three paper systems, kept so
- * pre-registry callers and the fig6/fig7 methodology read
- * unchanged.
- */
-struct ProtocolComparison
-{
-    RunStats baseline; ///< CC-NUMA, infinite block cache
-    RunStats ccNuma;
-    RunStats sComa;
-    RunStats rNuma;
-
-    double normCC() const;
-    double normSC() const;
-    double normRN() const;
-
-    /** min(normCC, normSC): "the best of the two protocols". */
-    double bestOfBase() const;
-};
-
-/** Run all four configurations back to back (serial compareAll). */
-ProtocolComparison compareProtocols(const Params &params, Workload &wl);
-
-/**
- * Run the four configurations concurrently on up to @p jobs threads
- * (0 means hardware concurrency). Each run gets its own workload
- * from @p make; the result is bit-identical to the serial
- * compareProtocols() at any job count.
- */
-ProtocolComparison
-compareProtocols(const Params &params,
-                 const std::function<std::unique_ptr<Workload>()> &make,
-                 std::size_t jobs);
 
 } // namespace rnuma
 

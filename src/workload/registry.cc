@@ -110,8 +110,8 @@ WorkloadOptions::finish(const std::string &workload) const
 //--------------------------------------------------------------------------
 // The application table, preserved verbatim from the pre-registry
 // interface: the registry's "app" entries are built over it, and the
-// appNames()/appProblem()/appInput()/makeApp() shims keep reading it
-// directly, so the streams stay bit-identical.
+// appNames()/makeApp() shims keep reading it directly, so the streams
+// stay bit-identical.
 //--------------------------------------------------------------------------
 
 namespace
@@ -508,18 +508,6 @@ appNames()
         return v;
     }();
     return names;
-}
-
-const char *
-appProblem(const std::string &name)
-{
-    return lookup(name).problem;
-}
-
-const char *
-appInput(const std::string &name)
-{
-    return lookup(name).input;
 }
 
 std::unique_ptr<VectorWorkload>

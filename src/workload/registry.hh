@@ -177,12 +177,6 @@ makeWorkload(const std::string &name, const Params &p,
 /** The ten application names in the paper's (alphabetical) order. */
 const std::vector<std::string> &appNames();
 
-/** Table 3 "Problem" description for an application. */
-const char *appProblem(const std::string &name);
-
-/** Table 3 "Input Data Set" description for an application. */
-const char *appInput(const std::string &name);
-
 /**
  * Build an application workload by name. Fatal on unknown names.
  * @param scale input scale (1.0 = calibrated size)

@@ -4,10 +4,8 @@
  * on-disk reference-stream format, plus a Workload implementation
  * that replays one directly off the mapping in O(1) resident memory.
  *
- * The eager format (trace.hh) materializes a full VectorWorkload on
- * load — fine for unit-test sized streams, hopeless for the
- * billions-of-references serving replays the north star calls for.
- * The stream format instead:
+ * Serving replays run to billions of references, so the format never
+ * materializes a full VectorWorkload:
  *
  *  - header: magic "RNUMAST1", format version, cpu count, max think
  *    time, address-space high-water mark, workload name;

@@ -267,6 +267,9 @@ TEST(BenchCompare, LoaderRejectsForeignDocuments)
                            "\"figures\": []}"),
                  std::runtime_error);
     EXPECT_THROW(loadBench("{\"figures\": []}"), std::runtime_error);
+    EXPECT_THROW(loadBench("{\"schema\": \"rnuma-bench/v2\", "
+                           "\"figures\": []}"),
+                 std::runtime_error);
     EXPECT_THROW(
         loadBench("{\"schema\": \"rnuma-bench/v1\", \"runs\": 5}"),
         std::runtime_error);

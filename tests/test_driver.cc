@@ -419,13 +419,6 @@ TEST(CompareGate, ScaleMismatchIsAViolation)
     std::ostringstream os;
     EXPECT_EQ(compareResults(base, cur, CompareOptions{}, os), 1u);
     EXPECT_NE(os.str().find("scale changed"), std::string::npos);
-
-    // Serialization rounding must not count as a mismatch: pre-v2
-    // baselines carried %.6g-truncated scales.
-    cur.figures[0].scale =
-        base.figures[0].scale * (1.0 + 1e-7);
-    std::ostringstream os2;
-    EXPECT_EQ(compareResults(base, cur, CompareOptions{}, os2), 0u);
 }
 
 TEST(CompareGate, WallTimeThresholdedNotExact)
@@ -467,10 +460,6 @@ TEST(CompareGate, LoadResultsRoundTripsTheJsonSink)
     ResultDoc loaded = loadResults(os.str());
     EXPECT_EQ(loaded.schema, "rnuma-sweep-results/v8");
     ResultDoc direct = resultsOf({run});
-    EXPECT_EQ(loaded.figures[0].protocols,
-              direct.figures[0].protocols);
-    EXPECT_EQ(loaded.figures[0].protocols,
-              protocolsOf(run.result));
     ASSERT_EQ(loaded.figures.size(), 1u);
     ASSERT_EQ(loaded.figures[0].cells.size(),
               direct.figures[0].cells.size());
@@ -480,7 +469,6 @@ TEST(CompareGate, LoadResultsRoundTripsTheJsonSink)
         const ResultCell &b = direct.figures[0].cells[i];
         EXPECT_EQ(a.ticks, b.ticks) << a.app << "/" << a.config;
         EXPECT_EQ(a.events, b.events) << a.app << "/" << a.config;
-        EXPECT_TRUE(a.hasEvents);
     }
     std::ostringstream report;
     EXPECT_EQ(
@@ -540,106 +528,20 @@ TEST(CompareGate, ReadersRefuseIntraJobsOtherThanOne)
     EXPECT_THROW(loadBench(benchDoc("4")), std::runtime_error);
 }
 
-TEST(CompareGate, AcceptsV1BaselinesWithoutEvents)
+TEST(CompareGate, FeedbackCountersGateWhenBothSidesCarryThem)
 {
-    // A v1 document has no per-cell events; only ticks are diffed.
-    const char *v1 =
-        "{\"schema\": \"rnuma-sweep-results/v1\", \"figures\": ["
-        "{\"name\": \"small\", \"scale\": 0.05, \"jobs\": 1,"
-        " \"wall_ms\": 10.0, \"status\": 0, \"cells\": ["
-        "{\"app\": \"moldyn\", \"config\": \"ccnuma\","
-        " \"wall_ms\": 1.0, \"stats\": {\"ticks\": 42}}]}]}";
-    ResultDoc base = loadResults(v1);
-    ASSERT_EQ(base.figures.size(), 1u);
-    EXPECT_FALSE(base.figures[0].cells[0].hasEvents);
-
-    ResultDoc cur = base;
-    cur.figures[0].cells[0].events = 7; // ignored: baseline has none
-    cur.figures[0].cells[0].hasEvents = true;
-    std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, CompareOptions{}, os), 0u);
-
-    cur.figures[0].cells[0].ticks = 43;
-    std::ostringstream os2;
-    EXPECT_EQ(compareResults(base, cur, CompareOptions{}, os2), 1u);
-}
-
-TEST(CompareGate, ProtocolShimAcceptsEnumEraBaselines)
-{
-    // A v2 baseline carries enum-era display names; after the load
-    // shim they canonicalize to registry ids, and an id change
-    // against a pre-v3 baseline is a note, never a violation.
-    const char *v2 =
-        "{\"schema\": \"rnuma-sweep-results/v2\", \"figures\": ["
-        "{\"name\": \"small\", \"scale\": 0.05, \"jobs\": 1,"
-        " \"wall_ms\": 10.0, \"status\": 0, \"cells\": ["
-        "{\"app\": \"moldyn\", \"config\": \"t16\","
-        " \"protocol\": \"R-NUMA\", \"wall_ms\": 1.0,"
-        " \"stats\": {\"ticks\": 42}}]}]}";
-    ResultDoc base = loadResults(v2);
-    EXPECT_EQ(base.version(), 2);
-    EXPECT_EQ(base.figures[0].cells[0].protocol, "rnuma");
-
-    ResultDoc cur = base;
-    cur.schema = "rnuma-sweep-results/v3";
-    cur.figures[0].cells[0].protocol = "rnuma-t16";
-    std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, CompareOptions{-1}, os), 0u);
-    EXPECT_NE(os.str().find("label shim only"), std::string::npos);
-
-    // Both v3: a protocol change is genuine drift.
-    ResultDoc base3 = base;
-    base3.schema = "rnuma-sweep-results/v3";
-    std::ostringstream os2;
-    EXPECT_EQ(compareResults(base3, cur, CompareOptions{-1}, os2),
-              1u);
-    EXPECT_NE(os2.str().find("protocol changed"),
-              std::string::npos);
-}
-
-TEST(CompareGate, ReconstructsProtocolsForPreV4Baselines)
-{
-    // A v3 document has no per-figure protocols array; the loader
-    // rebuilds it from the cells (canonicalized, first-appearance
-    // order) so v4-era consumers work against old baselines, and a
-    // v3 baseline still diffs cleanly against v4 results.
-    const char *v3 =
-        "{\"schema\": \"rnuma-sweep-results/v3\", \"figures\": ["
-        "{\"name\": \"small\", \"scale\": 0.05, \"jobs\": 1,"
-        " \"wall_ms\": 10.0, \"status\": 0, \"cells\": ["
-        "{\"app\": \"a\", \"config\": \"baseline\","
-        " \"protocol\": \"ccnuma\", \"stats\": {\"ticks\": 7}},"
-        "{\"app\": \"a\", \"config\": \"rnuma\","
-        " \"protocol\": \"R-NUMA\", \"stats\": {\"ticks\": 9}},"
-        "{\"app\": \"b\", \"config\": \"rnuma\","
-        " \"protocol\": \"rnuma\", \"stats\": {\"ticks\": 5}}]}]}";
-    ResultDoc base = loadResults(v3);
-    ASSERT_EQ(base.figures.size(), 1u);
-    std::vector<std::string> expected{"ccnuma", "rnuma"};
-    EXPECT_EQ(base.figures[0].protocols, expected);
-
-    ResultDoc cur = base;
-    cur.schema = "rnuma-sweep-results/v4";
-    std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, CompareOptions{-1}, os), 0u);
-}
-
-TEST(CompareGate, FeedbackCountersGateOnlyBetweenV8Documents)
-{
-    // v8 added the residency-feedback counters. Between two v8
-    // documents a drift is a violation; against a v7-shaped
-    // baseline (counters absent) the check degrades to a note so
-    // old perf baselines keep passing.
+    // v8 added the residency-feedback counters: a drift between two
+    // cells that both carry them is a violation, whatever the
+    // schemas; a v7 cell without them is simply not compared.
     const char *v8 =
         "{\"schema\": \"rnuma-sweep-results/v8\", \"figures\": ["
         "{\"name\": \"small\", \"scale\": 0.05, \"jobs\": 1,"
         " \"wall_ms\": 10.0, \"status\": 0, \"cells\": ["
         "{\"app\": \"moldyn\", \"config\": \"rnuma\","
         " \"protocol\": \"rnuma\", \"wall_ms\": 1.0,"
-        " \"stats\": {\"ticks\": 42, \"evictions_zero_hit\": 3,"
-        " \"evicted_page_hits\": 90}}]}]}";
+        " \"stats\": {\"ticks\": 42, \"events\": 7,"
+        " \"evictions_zero_hit\": 3, \"evicted_page_hits\": 90}}]}]}";
     ResultDoc base = loadResults(v8);
-    ASSERT_EQ(base.version(), 8);
 
     ResultDoc cur = base;
     cur.figures[0].cells[0].counters["evictions_zero_hit"] = 5;
@@ -648,8 +550,6 @@ TEST(CompareGate, FeedbackCountersGateOnlyBetweenV8Documents)
     EXPECT_NE(os.str().find("evictions_zero_hit drifted"),
               std::string::npos);
 
-    // Same drift against a v7 baseline without the counters: the
-    // keys are absent on one side, so nothing diffs at all.
     ResultDoc old = base;
     old.schema = "rnuma-sweep-results/v7";
     old.figures[0].cells[0].counters.erase("evictions_zero_hit");
@@ -657,15 +557,68 @@ TEST(CompareGate, FeedbackCountersGateOnlyBetweenV8Documents)
     std::ostringstream os2;
     EXPECT_EQ(compareResults(old, cur, CompareOptions{-1}, os2), 0u);
 
-    // A v7 baseline that somehow carries the counters (hand-edited
-    // or transitional): a mismatch is reported, but as a note.
-    ResultDoc noted = base;
-    noted.schema = "rnuma-sweep-results/v7";
+    old.figures[0].cells[0].counters["evictions_zero_hit"] = 3;
     std::ostringstream os3;
-    EXPECT_EQ(compareResults(noted, cur, CompareOptions{-1}, os3),
-              0u);
-    EXPECT_NE(os3.str().find("feedback counters not comparable"),
-              std::string::npos);
+    EXPECT_EQ(compareResults(old, cur, CompareOptions{-1}, os3), 1u);
+}
+
+TEST(CompareGate, RejectsUnsupportedSchemaVersions)
+{
+    auto doc = [](const std::string &schema, const std::string &cell) {
+        return "{\"schema\": \"" + schema + "\", \"figures\": ["
+               "{\"name\": \"fig8\", \"scale\": 0.05, \"jobs\": 1,"
+               " \"cells\": [{\"app\": \"moldyn\","
+               " \"config\": \"t16\", " + cell + "}]}]}";
+    };
+    const std::string ids =
+        "\"protocol\": \"rnuma-t16\", \"network\": \"constant\","
+        " \"directory\": \"full-map\", \"workload\": \"moldyn\", ";
+    const std::string cell =
+        ids + "\"stats\": {\"ticks\": 42, \"events\": 7}";
+
+    // Only the current schema and the one before it load; anything
+    // else (older, newer, or not a number at all) throws and names
+    // the schema.
+    for (const char *v : {"v1", "v6", "vX", "v9"}) {
+        const std::string schema =
+            std::string("rnuma-sweep-results/") + v;
+        try {
+            loadResults(doc(schema, cell));
+            ADD_FAILURE() << schema << " accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(schema),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    // A v7 baseline passes against a v8 current that carries the
+    // feedback counters v7 lacks.
+    ResultDoc v7 = loadResults(doc("rnuma-sweep-results/v7", cell));
+    ResultDoc v8 = loadResults(doc(
+        "rnuma-sweep-results/v8",
+        ids + "\"stats\": {\"ticks\": 42, \"events\": 7,"
+              " \"evictions_zero_hit\": 1, \"evicted_page_hits\": 2}"));
+    std::ostringstream os;
+    EXPECT_EQ(compareResults(v7, v8, CompareOptions{-1}, os), 0u)
+        << os.str();
+
+    // Against that v7 baseline, a changed protocol, network or
+    // workload id is a violation, not a note.
+    ResultDoc tampered = v8;
+    ResultCell &c = tampered.figures[0].cells[0];
+    c.protocol = "rnuma-t64";
+    c.network = "mesh-2d";
+    c.workload = "barnes";
+    std::ostringstream os2;
+    EXPECT_EQ(compareResults(v7, tampered, CompareOptions{-1}, os2),
+              3u);
+    EXPECT_EQ(os2.str().find("note:"), std::string::npos) << os2.str();
+
+    // A cell without stats.events is refused, not compared blind.
+    EXPECT_THROW(loadResults(doc("rnuma-sweep-results/v8",
+                                 "\"stats\": {\"ticks\": 42}")),
+                 std::runtime_error);
 }
 
 TEST(CompareGate, RejectsForeignJson)
@@ -768,9 +721,9 @@ TEST(FigureRegistry, PoliciesFigureHonorsProtocolSelection)
     EXPECT_EQ(s.cells()[4].proto.id, "rnuma");
     EXPECT_EQ(s.cells()[5].proto.id, "rnuma-adaptive");
 
-    // Repeated and alias spellings dedupe to one cell per protocol
-    // instead of tripping the duplicate-cell check.
-    opt.protocols = {"rnuma", "R-NUMA", "rnuma"};
+    // Repeated and differently cased ids dedupe to one cell per
+    // protocol instead of tripping the duplicate-cell check.
+    opt.protocols = {"rnuma", "RNUMA", "rnuma"};
     Sweep dedup = findFigure("policies")->build(opt);
     ASSERT_EQ(dedup.size(), 4u); // 2 x (baseline + rnuma once)
     EXPECT_EQ(dedup.cells()[1].proto.id, "rnuma");

@@ -32,21 +32,20 @@ TEST_P(AppIntegration, RunsUnderEveryProtocol)
     auto wl = makeApp(GetParam(), p, testScale);
     ASSERT_GT(wl->totalRefs(), 0u);
 
-    for (Protocol proto : {Protocol::CCNuma, Protocol::SComa,
-                           Protocol::RNuma}) {
+    for (std::string proto : {"ccnuma", "scoma", "rnuma"}) {
         RunStats s = runProtocol(p, proto, *wl);
-        EXPECT_GT(s.ticks, 0u) << protocolName(proto);
-        EXPECT_GT(s.refs, 0u) << protocolName(proto);
+        EXPECT_GT(s.ticks, 0u) << proto;
+        EXPECT_GT(s.refs, 0u) << proto;
         // Miss-kind conservation.
         EXPECT_EQ(s.coldMisses + s.coherenceMisses + s.refetches,
                   s.remoteFetches)
-            << protocolName(proto);
+            << proto;
         // Only the page-cache protocols perform page-cache work.
-        if (proto == Protocol::CCNuma) {
+        if (proto == "ccnuma") {
             EXPECT_EQ(s.scomaAllocations, 0u);
             EXPECT_EQ(s.pageCacheHits, 0u);
         }
-        if (proto == Protocol::SComa) {
+        if (proto == "scoma") {
             EXPECT_EQ(s.relocations, 0u);
         }
     }
@@ -56,8 +55,8 @@ TEST_P(AppIntegration, DeterministicTiming)
 {
     Params p = test::paperParams();
     auto wl = makeApp(GetParam(), p, testScale);
-    RunStats a = runProtocol(p, Protocol::RNuma, *wl);
-    RunStats b = runProtocol(p, Protocol::RNuma, *wl);
+    RunStats a = runProtocol(p, "rnuma", *wl);
+    RunStats b = runProtocol(p, "rnuma", *wl);
     EXPECT_EQ(a.ticks, b.ticks);
     EXPECT_EQ(a.remoteFetches, b.remoteFetches);
     EXPECT_EQ(a.relocations, b.relocations);
@@ -70,7 +69,7 @@ TEST_P(AppIntegration, SeedChangesStreamButStaysValid)
     auto w2 = makeApp(GetParam(), p, testScale, /*seed=*/2);
     // Same structure (barrier/End counts), possibly different refs.
     EXPECT_EQ(w1->numCpus(), w2->numCpus());
-    RunStats s = runProtocol(p, Protocol::RNuma, *w2);
+    RunStats s = runProtocol(p, "rnuma", *w2);
     EXPECT_GT(s.refs, 0u);
 }
 
@@ -88,9 +87,6 @@ TEST(Registry, NamesMatchTable3)
     ASSERT_EQ(names.size(), 10u);
     EXPECT_EQ(names.front(), "barnes");
     EXPECT_EQ(names.back(), "raytrace");
-    EXPECT_STREQ(appInput("radix"), "1M integers, radix 1024");
-    EXPECT_STREQ(appProblem("em3d"),
-                 "3-D electromagnetic wave propagation");
 }
 
 TEST(Registry, UnknownNameIsFatal)

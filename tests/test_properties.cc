@@ -36,11 +36,12 @@ TEST(Properties, Eq1Eq2PredictAdversaryOverheads)
     // ignores.
     Params p = test::smallParams(); // threshold 4
     auto wl = makeAdversary(p, 12, p.relocationThreshold + 1);
-    ProtocolComparison c = compareProtocols(p, *wl);
+    ComparisonMatrix c =
+        compareAll(p, *wl, protocolSpecs({"ccnuma", "scoma", "rnuma"}));
 
-    double o_cc = c.normCC() - 1.0;
-    double o_sc = c.normSC() - 1.0;
-    double o_rn = c.normRN() - 1.0;
+    double o_cc = c.norm("ccnuma") - 1.0;
+    double o_sc = c.norm("scoma") - 1.0;
+    double o_rn = c.norm("rnuma") - 1.0;
     ASSERT_GT(o_cc, 0.0);
     ASSERT_GT(o_sc, 0.0);
 
@@ -82,10 +83,11 @@ TEST(Properties, BoundedAtEmpiricalOptimalThreshold)
     ASSERT_GE(p.relocationThreshold, 1u);
 
     auto wl = makeAdversary(p, 12, p.relocationThreshold + 1);
-    ProtocolComparison c = compareProtocols(p, *wl);
-    double o_cc = c.normCC() - 1.0;
-    double o_sc = c.normSC() - 1.0;
-    double o_rn = c.normRN() - 1.0;
+    ComparisonMatrix c =
+        compareAll(p, *wl, protocolSpecs({"ccnuma", "scoma", "rnuma"}));
+    double o_cc = c.norm("ccnuma") - 1.0;
+    double o_sc = c.norm("scoma") - 1.0;
+    double o_rn = c.norm("rnuma") - 1.0;
     double best = std::min(o_cc, o_sc);
     ASSERT_GT(best, 0.0);
 
@@ -101,7 +103,7 @@ TEST(Properties, AdversaryTriggersTheFullLifecycle)
 {
     Params p = test::smallParams();
     auto wl = makeAdversary(p, 12, p.relocationThreshold + 1);
-    RunStats s = runProtocol(p, Protocol::RNuma, *wl);
+    RunStats s = runProtocol(p, "rnuma", *wl);
     // Pages relocate and later get replaced (12 pages vs 4 frames).
     EXPECT_GT(s.relocations, 4u);
     EXPECT_GT(s.scomaReplacements, 0u);
@@ -119,9 +121,10 @@ TEST(Properties, RnumaNeverWorseThanBothOnMicrobenchmarks)
                           return makeProducerConsumer(pp, 4, 5);
                       }}) {
         auto wl = make(p);
-        ProtocolComparison c = compareProtocols(p, *wl);
-        double worst = std::max(c.normCC(), c.normSC());
-        EXPECT_LE(c.normRN(), worst * 1.05)
+        ComparisonMatrix c = compareAll(
+            p, *wl, protocolSpecs({"ccnuma", "scoma", "rnuma"}));
+        double worst = std::max(c.norm("ccnuma"), c.norm("scoma"));
+        EXPECT_LE(c.norm("rnuma"), worst * 1.05)
             << "workload " << wl->name();
     }
 }
@@ -250,7 +253,7 @@ TEST(Properties, OwnerImpliesSharerBit)
     Params p = test::smallParams();
     auto wl = makeRwSharing(p, 60);
     wl->reset();
-    Machine m(p, Protocol::RNuma, *wl);
+    Machine m(p, protocolSpec("rnuma"), *wl);
     m.run();
     checkDirectoryInvariants(m);
     // Spot-check the shared page's blocks through the public API.
@@ -279,14 +282,12 @@ TEST(Properties, DirectoryInvariantsHoldAfterAppInEveryFormat)
         p.dirPointers = 2;
         p.dirRegionSize = 2;
         p.validate();
-        for (Protocol proto :
-             {Protocol::CCNuma, Protocol::SComa, Protocol::RNuma}) {
+        for (const char *proto : {"ccnuma", "scoma", "rnuma"}) {
             auto wl = makeApp("em3d", p, 0.05);
             wl->reset();
-            Machine m(p, proto, *wl);
+            Machine m(p, protocolSpec(proto), *wl);
             m.run();
-            SCOPED_TRACE(p.directoryId() + " " +
-                         std::to_string(static_cast<int>(proto)));
+            SCOPED_TRACE(p.directoryId() + " " + proto);
             checkDirectoryInvariants(m);
         }
     }
@@ -295,7 +296,7 @@ TEST(Properties, DirectoryInvariantsHoldAfterAppInEveryFormat)
 /** Cross-protocol conservation sweep over apps and protocols. */
 class ConservationSweep
     : public ::testing::TestWithParam<
-          std::tuple<std::string, Protocol>>
+          std::tuple<std::string, std::string>>
 {
 };
 
@@ -318,17 +319,12 @@ INSTANTIATE_TEST_SUITE_P(
     AppsByProtocol, ConservationSweep,
     ::testing::Combine(::testing::Values("barnes", "em3d", "moldyn",
                                          "radix", "ocean"),
-                       ::testing::Values(Protocol::CCNuma,
-                                         Protocol::SComa,
-                                         Protocol::RNuma)),
+                       ::testing::Values("ccnuma", "scoma",
+                                         "rnuma")),
     [](const ::testing::TestParamInfo<
-        std::tuple<std::string, Protocol>> &info) {
-        // Readable, filterable names: barnes_CCNuma, radix_RNuma...
-        const char *proto =
-            std::get<1>(info.param) == Protocol::CCNuma ? "CCNuma"
-            : std::get<1>(info.param) == Protocol::SComa ? "SComa"
-                                                         : "RNuma";
-        return std::get<0>(info.param) + "_" + proto;
+        std::tuple<std::string, std::string>> &info) {
+        // Readable, filterable names: barnes_ccnuma, radix_rnuma...
+        return std::get<0>(info.param) + "_" + std::get<1>(info.param);
     });
 
 } // namespace rnuma

@@ -2,9 +2,8 @@
  * @file
  * Tests for the protocol registry (proto/registry.hh): name -> spec
  * -> Rad round-trips through a real Machine, lookup normalization
- * (ids, display names, enum-era labels), the unknown-name error
- * path, bit-identity of the registry path against the legacy enum
- * path, Figure 8's staticThresholdSpec variants against the
+ * (ids in any case; display names are not ids), the unknown-name
+ * error path, Figure 8's staticThresholdSpec variants against the
  * pre-registry "params hack" equivalent, and end-to-end runs of the
  * new policy protocols.
  */
@@ -62,11 +61,11 @@ TEST(ProtocolRegistry, LookupNormalizesNames)
 {
     const ProtocolSpec &cc = protocolSpec("ccnuma");
     EXPECT_EQ(findProtocolSpec("CCNUMA"), &cc);
-    EXPECT_EQ(findProtocolSpec("CC-NUMA"), &cc); // enum-era label
-    EXPECT_EQ(findProtocolSpec("cc-numa"), &cc);
-    EXPECT_EQ(findProtocolSpec("R-NUMA"), &protocolSpec("rnuma"));
-    EXPECT_EQ(findProtocolSpec("S-COMA"), &protocolSpec("scoma"));
-    EXPECT_EQ(canonicalProtocolId("R-NUMA"), "rnuma");
+    EXPECT_EQ(findProtocolSpec("RNuma"), &protocolSpec("rnuma"));
+    // Display names are labels, not ids.
+    EXPECT_EQ(cc.displayName, "CC-NUMA");
+    EXPECT_EQ(findProtocolSpec("CC-NUMA"), nullptr);
+    EXPECT_EQ(canonicalProtocolId("R-NUMA"), "r-numa");
     EXPECT_EQ(canonicalProtocolId("rnuma-t16"), "rnuma-t16");
 }
 
@@ -88,36 +87,18 @@ TEST(ProtocolRegistry, RejectsInvalidAndDuplicateSpecs)
                  std::runtime_error);
 }
 
-TEST(ProtocolRegistry, EnumResolvesToTheSameSpecs)
-{
-    EXPECT_EQ(&builtinSpec(Protocol::CCNuma),
-              &protocolSpec("ccnuma"));
-    EXPECT_EQ(&builtinSpec(Protocol::SComa), &protocolSpec("scoma"));
-    EXPECT_EQ(&builtinSpec(Protocol::RNuma), &protocolSpec("rnuma"));
-    EXPECT_STREQ(protocolId(Protocol::RNuma), "rnuma");
-}
-
 TEST(ProtocolRegistry, NameToSpecToRadRoundTrip)
 {
-    // Running a machine by registry name is bit-identical to the
-    // legacy enum path for each paper system.
+    // Running a machine by registry name is bit-identical to
+    // running it on the resolved spec, for each paper system.
     Params p = test::smallParams();
-    const struct
-    {
-        const char *name;
-        Protocol proto;
-    } systems[] = {
-        {"ccnuma", Protocol::CCNuma},
-        {"scoma", Protocol::SComa},
-        {"rnuma", Protocol::RNuma},
-    };
-    for (const auto &sys : systems) {
+    for (const char *name : {"ccnuma", "scoma", "rnuma"}) {
         auto wl_a = reuseWorkload(p);
         auto wl_b = reuseWorkload(p);
-        RunStats by_name = runProtocol(p, std::string(sys.name),
-                                       *wl_a);
-        RunStats by_enum = runProtocol(p, sys.proto, *wl_b);
-        EXPECT_EQ(by_name, by_enum) << sys.name;
+        RunStats by_name = runProtocol(p, name, *wl_a);
+        Machine m(p, protocolSpec(name), *wl_b);
+        EXPECT_EQ(m.protocolId(), name);
+        EXPECT_EQ(by_name, m.run()) << name;
         EXPECT_GT(by_name.refs, 0u);
     }
 }
@@ -144,7 +125,7 @@ TEST(ProtocolRegistry, StaticThresholdSpecMatchesTheParamsHack)
         RunStats via_spec =
             runProtocol(base, staticThresholdSpec(T), *wl_a);
         RunStats via_params =
-            runProtocol(hacked, Protocol::RNuma, *wl_b);
+            runProtocol(hacked, "rnuma", *wl_b);
         EXPECT_EQ(via_spec, via_params) << "T=" << T;
     }
 }

@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the comparison runner: the registry-driven
- * ComparisonMatrix (N-way, serial and parallel), its parity with the
- * legacy four-way ProtocolComparison shim, the winner/regret
+ * ComparisonMatrix (N-way, serial and parallel), the winner/regret
  * summary, the unknown-spec error paths, and the degenerate
  * zero-tick-baseline case (NaN, not a panic).
  */
@@ -33,28 +32,29 @@ TEST(Runner, CompareRunsAllFourConfigurations)
 {
     Params p = test::smallParams();
     auto wl = makeHotRemoteReuse(p, 4, 3);
-    ProtocolComparison c = compareProtocols(p, *wl);
+    ComparisonMatrix c =
+        compareAll(p, *wl, protocolSpecs({"ccnuma", "scoma", "rnuma"}));
     EXPECT_GT(c.baseline.ticks, 0u);
-    EXPECT_GT(c.ccNuma.ticks, 0u);
-    EXPECT_GT(c.sComa.ticks, 0u);
-    EXPECT_GT(c.rNuma.ticks, 0u);
+    EXPECT_GT(c.at("ccnuma").stats.ticks, 0u);
+    EXPECT_GT(c.at("scoma").stats.ticks, 0u);
+    EXPECT_GT(c.at("rnuma").stats.ticks, 0u);
     // Normalized values are relative to the infinite baseline.
-    EXPECT_NEAR(c.normCC(),
-                static_cast<double>(c.ccNuma.ticks) /
+    EXPECT_NEAR(c.norm("ccnuma"),
+                static_cast<double>(c.at("ccnuma").stats.ticks) /
                     static_cast<double>(c.baseline.ticks),
                 1e-12);
-    EXPECT_LE(c.bestOfBase(), c.normCC());
-    EXPECT_LE(c.bestOfBase(), c.normSC());
+    EXPECT_LE(c.bestOfBase(), c.norm("ccnuma"));
+    EXPECT_LE(c.bestOfBase(), c.norm("scoma"));
 }
 
 TEST(Runner, ResetsWorkloadBetweenRuns)
 {
     Params p = test::smallParams();
     auto wl = makePrivateLoop(p, 1, 2);
-    RunStats a = runProtocol(p, Protocol::CCNuma, *wl);
+    RunStats a = runProtocol(p, "ccnuma", *wl);
     // Without the reset inside runProtocol the second run would see
     // exhausted streams and do nothing.
-    RunStats b = runProtocol(p, Protocol::CCNuma, *wl);
+    RunStats b = runProtocol(p, "ccnuma", *wl);
     EXPECT_EQ(a.refs, b.refs);
     EXPECT_GT(b.refs, 0u);
 }
@@ -75,29 +75,6 @@ TEST(ComparisonMatrixTest, DefaultSelectionCoversTheRegistry)
     }
 }
 
-TEST(ComparisonMatrixTest, ThreeWayRestrictionMatchesTheLegacyShim)
-{
-    // The parity contract: a matrix restricted to the three
-    // built-ins is bit-identical — RunStats and normalized ratios —
-    // to the four-field compareProtocols() it replaced.
-    Params p = test::smallParams();
-    auto wl_m = makeHotRemoteReuse(p, 6, 3);
-    auto wl_c = makeHotRemoteReuse(p, 6, 3);
-    ComparisonMatrix m = compareAll(
-        p, *wl_m, protocolSpecs({"ccnuma", "scoma", "rnuma"}));
-    ProtocolComparison c = compareProtocols(p, *wl_c);
-
-    EXPECT_EQ(m.baseline, c.baseline);
-    EXPECT_EQ(m.at("ccnuma").stats, c.ccNuma);
-    EXPECT_EQ(m.at("scoma").stats, c.sComa);
-    EXPECT_EQ(m.at("rnuma").stats, c.rNuma);
-    EXPECT_EQ(m.norm("ccnuma"), c.normCC());
-    EXPECT_EQ(m.norm("scoma"), c.normSC());
-    EXPECT_EQ(m.norm("rnuma"), c.normRN());
-    EXPECT_EQ(m.bestOfBase(), c.bestOfBase());
-    EXPECT_EQ(m.bestOf({"ccnuma", "scoma"}), c.bestOfBase());
-}
-
 TEST(ComparisonMatrixTest, SerialAndParallelAreBitIdentical)
 {
     Params p = test::smallParams();
@@ -116,14 +93,6 @@ TEST(ComparisonMatrixTest, SerialAndParallelAreBitIdentical)
                 << serial.entries[i].id << " at jobs=" << jobs;
         }
     }
-    // And the parallel legacy shim agrees with the serial one.
-    auto wl_c = make();
-    ProtocolComparison cs = compareProtocols(p, *wl_c);
-    ProtocolComparison cp = compareProtocols(p, make, 4);
-    EXPECT_EQ(cs.baseline, cp.baseline);
-    EXPECT_EQ(cs.ccNuma, cp.ccNuma);
-    EXPECT_EQ(cs.sComa, cp.sComa);
-    EXPECT_EQ(cs.rNuma, cp.rNuma);
 }
 
 TEST(ComparisonMatrixTest, RegistryAppsAreDeterministicAcrossJobs)
@@ -217,15 +186,6 @@ TEST(ComparisonMatrixTest, ZeroTickBaselineIsNaNNotAPanic)
     // Regret compares against the winner, not the baseline, so it
     // stays defined even here.
     EXPECT_DOUBLE_EQ(m.regret("x"), 0.0);
-
-    ProtocolComparison c;
-    c.ccNuma.ticks = 3;
-    c.sComa.ticks = 4;
-    c.rNuma.ticks = 5;
-    EXPECT_TRUE(std::isnan(c.normCC()));
-    EXPECT_TRUE(std::isnan(c.normSC()));
-    EXPECT_TRUE(std::isnan(c.normRN()));
-    EXPECT_TRUE(std::isnan(c.bestOfBase()));
 }
 
 } // namespace rnuma

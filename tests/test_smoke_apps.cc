@@ -115,7 +115,7 @@ TEST_P(AppSmoke, StaysViableAtHundredthScale)
     Params p = test::smallParams();
     auto wl = makeApp(GetParam(), p, 0.01);
     EXPECT_GT(wl->memRefCount(), 0u);
-    RunStats s = runProtocol(p, Protocol::RNuma, *wl);
+    RunStats s = runProtocol(p, "rnuma", *wl);
     EXPECT_GT(s.refs, 0u);
     EXPECT_GT(s.ticks, 0u);
 }
