@@ -184,7 +184,7 @@ void
 BM_AppSimulationRate(benchmark::State &state)
 {
     Params p = Params::base();
-    auto wl = makeApp("moldyn", p, 0.1);
+    auto wl = makeWorkload("moldyn", p, 0.1);
     std::uint64_t refs = 0;
     for (auto _ : state) {
         RunStats s = runProtocol(p, "rnuma", *wl);

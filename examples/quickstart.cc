@@ -40,15 +40,16 @@ main(int argc, char **argv)
               << p.pageCacheSize / 1024 << "KB, threshold "
               << p.relocationThreshold << "\n\n";
 
-    auto wl = makeApp(app, p, scale);
-    std::cout << "workload: " << wl->totalRefs()
+    auto wl = makeWorkload(app, p, scale);
+    std::cout << "workload: "
+              << dynamic_cast<const VectorWorkload &>(*wl).totalRefs()
               << " stream entries\n\n";
 
     // Every run builds its own copy of the workload, so the runs can
     // execute concurrently with bit-identical results. The empty
     // spec list selects every registered protocol.
     ComparisonMatrix m = compareAll(
-        p, [&] { return makeApp(app, p, scale); }, {}, jobs);
+        p, [&] { return makeWorkload(app, p, scale); }, {}, jobs);
 
     Table t({"protocol", "ticks", "normalized", "vs winner",
              "remote fetches", "refetches", "page ops"});

@@ -3,8 +3,6 @@
 #include <stdexcept>
 
 #include "driver/json.hh"
-#include "net/registry.hh"
-#include "workload/registry.hh"
 
 namespace rnuma::driver
 {
@@ -93,12 +91,10 @@ loadResults(const std::string &json_text)
                 std::string where =
                     f.name + "/" + c.app + "/" + c.config;
                 c.protocol = stringOr(jc.get("protocol"), "");
-                c.network = canonicalNetworkId(
-                    stringOr(jc.get("network"), c.network));
+                c.network = stringOr(jc.get("network"), c.network);
                 c.directory =
                     stringOr(jc.get("directory"), c.directory);
-                c.workload = canonicalWorkloadId(
-                    stringOr(jc.get("workload"), c.workload));
+                c.workload = stringOr(jc.get("workload"), c.workload);
                 refuseIntraJobs(jc.get("intra_jobs"), where);
                 c.wallMs = numberOr(jc.get("wall_ms"), 0);
                 const JsonValue *stats = jc.get("stats");

@@ -36,12 +36,12 @@ struct ResultCell
     std::string config;
     /** Protocol spec id ("ccnuma"); empty when the cell has none. */
     std::string protocol;
-    /** Canonical network-model id. */
+    /** Network-model spec id ("mesh-2d"), read verbatim. */
     std::string network = "constant";
     /** Directory-format id. */
     std::string directory = "full-map";
     /**
-     * Canonical workload-registry id of the cell's generator
+     * Workload-registry id of the cell's generator, read verbatim
      * ("barnes", "zipf-serve", ...); "" for an ad-hoc factory, which
      * the gate does not compare.
      */

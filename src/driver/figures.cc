@@ -53,7 +53,7 @@ buildFig5(const FigureOptions &opt)
 {
     Sweep s("fig5");
     Params p = Params::base();
-    for (const auto &app : appNames())
+    for (const auto &app : workloadIds("app"))
         s.addApp(app, "ccnuma", p, "ccnuma", opt.scale);
     return s;
 }
@@ -108,7 +108,7 @@ buildFig6(const FigureOptions &opt)
 {
     Sweep s("fig6");
     Params p = Params::base();
-    for (const auto &app : appNames()) {
+    for (const auto &app : workloadIds("app")) {
         s.addBaseline(app, p, opt.scale);
         s.addApp(app, "ccnuma", p, "ccnuma", opt.scale);
         s.addApp(app, "scoma", p, "scoma", opt.scale);
@@ -124,7 +124,7 @@ renderFig6(const FigureRun &run, std::ostream &os)
              "R-NUMA vs best"});
     double worst_gap = 0;
     std::string worst_app;
-    for (const auto &app : appNames()) {
+    for (const auto &app : workloadIds("app")) {
         double cc = normTo(run.result, app, "ccnuma");
         double sc = normTo(run.result, app, "scoma");
         double rn = normTo(run.result, app, "rnuma");
@@ -169,7 +169,7 @@ buildFig7(const FigureOptions &opt)
     rn_bigpc.pageCacheSize = 40 * 1024 * 1024;
     const ProtocolSpec &cc = protocolSpec("ccnuma");
     const ProtocolSpec &rn = protocolSpec("rnuma");
-    for (const auto &app : appNames()) {
+    for (const auto &app : workloadIds("app")) {
         // One factory per row: fmm derives its anti-aliasing pool
         // from the block-cache geometry, so every cache-size column
         // must measure the identical trace generated from the base
@@ -192,7 +192,7 @@ renderFig7(const FigureRun &run, std::ostream &os)
 {
     Table t({"app", "CC b=1K", "CC b=32K", "RN b=128,p=320K",
              "RN b=32K,p=320K", "RN b=128,p=40M"});
-    for (const auto &app : appNames()) {
+    for (const auto &app : workloadIds("app")) {
         t.addRow({app,
                   Table::num(normTo(run.result, app, "cc-b1k")),
                   Table::num(normTo(run.result, app, "cc-b32k")),
@@ -230,7 +230,7 @@ buildFig8(const FigureOptions &opt)
 {
     Sweep s("fig8");
     Params base = Params::base();
-    for (const auto &app : appNames()) {
+    for (const auto &app : workloadIds("app")) {
         WorkloadFactory make = appFactory(app, base, opt.scale);
         std::string key = workloadCacheKey(app, base, opt.scale);
         for (std::size_t T : fig8Thresholds) {
@@ -245,7 +245,7 @@ int
 renderFig8(const FigureRun &run, std::ostream &os)
 {
     Table t({"app", "T=16", "T=64", "T=256", "T=1024"});
-    for (const auto &app : appNames()) {
+    for (const auto &app : workloadIds("app")) {
         std::vector<std::string> row{app};
         for (std::size_t T : fig8Thresholds) {
             row.push_back(Table::num(
@@ -278,7 +278,7 @@ buildFig9(const FigureOptions &opt)
     const ProtocolSpec &cc = protocolSpec("ccnuma");
     const ProtocolSpec &sc = protocolSpec("scoma");
     const ProtocolSpec &rn = protocolSpec("rnuma");
-    for (const auto &app : appNames()) {
+    for (const auto &app : workloadIds("app")) {
         WorkloadFactory make = appFactory(app, base, opt.scale);
         std::string key = workloadCacheKey(app, base, opt.scale);
         s.add({app, "baseline", cc, inf, make, key, app});
@@ -295,7 +295,7 @@ renderFig9(const FigureRun &run, std::ostream &os)
 {
     Table t({"app", "S-COMA", "S-COMA-SOFT", "R-NUMA",
              "R-NUMA-SOFT", "SC soft/base", "RN soft/base"});
-    for (const auto &app : appNames()) {
+    for (const auto &app : workloadIds("app")) {
         Tick sc = run.result.at(app, "scoma").stats.ticks;
         Tick sc_soft = run.result.at(app, "scoma-soft").stats.ticks;
         Tick rn = run.result.at(app, "rnuma").stats.ticks;
@@ -405,7 +405,7 @@ buildTable4(const FigureOptions &opt)
 {
     Sweep s("table4");
     Params p = Params::base();
-    for (const auto &app : appNames()) {
+    for (const auto &app : workloadIds("app")) {
         s.addApp(app, "ccnuma", p, "ccnuma", opt.scale);
         s.addApp(app, "scoma", p, "scoma", opt.scale);
         s.addApp(app, "rnuma", p, "rnuma", opt.scale);
@@ -418,7 +418,7 @@ renderTable4(const FigureRun &run, std::ostream &os)
 {
     Table t({"app", "CC-NUMA RW pages", "R-NUMA refetches vs CC",
              "R-NUMA replacements vs S-COMA"});
-    for (const auto &app : appNames()) {
+    for (const auto &app : workloadIds("app")) {
         const RunStats &cc = run.result.at(app, "ccnuma").stats;
         const RunStats &sc = run.result.at(app, "scoma").stats;
         const RunStats &rn = run.result.at(app, "rnuma").stats;
@@ -534,7 +534,7 @@ buildAblation(const FigureOptions &opt)
     Params full = Params::base();
     Params ablated = full;
     ablated.priorOwnerState = false;
-    for (const auto &app : appNames()) {
+    for (const auto &app : workloadIds("app")) {
         s.addBaseline(app, full, opt.scale);
         s.addApp(app, "full", full, "rnuma", opt.scale);
         s.addApp(app, "ablated", ablated, "rnuma", opt.scale);
@@ -547,7 +547,7 @@ renderAblation(const FigureRun &run, std::ostream &os)
 {
     Table t({"app", "R-NUMA (full)", "R-NUMA (no prior state)",
              "slowdown", "relocations full/ablated"});
-    for (const auto &app : appNames()) {
+    for (const auto &app : workloadIds("app")) {
         const RunStats &a = run.result.at(app, "full").stats;
         const RunStats &b = run.result.at(app, "ablated").stats;
         Tick ideal = run.result.at(app, "baseline").stats.ticks;
@@ -695,10 +695,9 @@ buildPolicies(const FigureOptions &opt)
              ProtocolRegistry::global().all())
             names.push_back(spec->id);
     }
-    // Selections canonicalize to spec ids and dedupe, so repeated
-    // or alias spellings (--protocol rnuma --protocol R-NUMA) run
-    // the protocol once instead of tripping the duplicate-cell
-    // check.
+    // Selections resolve to spec ids and dedupe, so an id repeated
+    // in another case (--protocol rnuma --protocol RNUMA) runs the
+    // protocol once instead of tripping the duplicate-cell check.
     std::vector<std::string> ids;
     for (const std::string &name : names) {
         const std::string &id = protocolSpec(name).id;
@@ -778,9 +777,8 @@ buildScaling(const FigureOptions &opt)
     std::vector<std::string> names = opt.networks;
     if (names.empty())
         names = {"constant", "mesh-2d"};
-    // Selections canonicalize to spec ids and dedupe, like the
-    // policies sweep does for protocols (--network mesh --network
-    // "2D mesh" runs the mesh once).
+    // Selections resolve to spec ids and dedupe, like the policies
+    // sweep does for protocols.
     std::vector<std::string> nets;
     for (const std::string &name : names) {
         const std::string &id = networkSpec(name).id;
@@ -1025,8 +1023,8 @@ buildChurn(const FigureOptions &opt)
     std::vector<std::string> wls = opt.workloads;
     if (wls.empty())
         wls = {"phase-shift", "tenants"};
-    // Canonicalize to registry ids and dedupe, like the policies
-    // sweep does for protocols.
+    // Resolve to registry ids and dedupe, like the policies sweep
+    // does for protocols.
     std::vector<std::string> workloads;
     for (const std::string &name : wls) {
         const std::string &id = workloadSpec(name).id;

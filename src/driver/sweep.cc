@@ -1,6 +1,5 @@
 #include "driver/sweep.hh"
 
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 
@@ -10,29 +9,12 @@
 namespace rnuma::driver
 {
 
-double
-envScale()
-{
-    const char *env = std::getenv("RNUMA_BENCH_SCALE");
-    if (!env)
-        return 1.0;
-    char *end = nullptr;
-    double s = std::strtod(env, &end);
-    if (end == env || *end != '\0' || s <= 0) {
-        warn("ignoring RNUMA_BENCH_SCALE='", env,
-             "' (want a positive number); using 1.0");
-        return 1.0;
-    }
-    return s;
-}
-
 WorkloadFactory
 appFactory(std::string app, const Params &gen, double scale,
            std::uint64_t seed)
 {
     return [app = std::move(app), gen, scale, seed] {
-        return std::unique_ptr<Workload>(
-            makeApp(app, gen, scale, seed));
+        return makeWorkload(app, gen, scale, seed);
     };
 }
 

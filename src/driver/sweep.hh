@@ -50,13 +50,6 @@ std::string workloadCacheKey(const std::string &name,
                              const Params &gen, double scale,
                              std::uint64_t seed = 1);
 
-/**
- * The default workload scale of rnuma_sweep and rnuma_bench:
- * RNUMA_BENCH_SCALE, or 1.0 when unset. An unparseable value warns
- * and falls back to 1.0.
- */
-double envScale();
-
 /** One independently runnable experiment point. */
 struct Cell
 {

@@ -1,31 +1,13 @@
 #include "net/registry.hh"
 
-#include <cctype>
-#include <mutex>
-
-#include "common/logging.hh"
 #include "net/topology.hh"
 
 namespace rnuma
 {
 
-std::string
-canonicalNetworkId(const std::string &name)
-{
-    std::string s;
-    s.reserve(name.size());
-    for (char c : name)
-        s.push_back(static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c))));
-    // Display-name spellings map onto the stable ids.
-    if (s == "2d mesh" || s == "mesh")
-        return "mesh-2d";
-    if (s == "fat tree" || s == "fattree")
-        return "fat-tree";
-    return s;
-}
-
-NetworkRegistry::NetworkRegistry()
+template <>
+void
+NetworkRegistry::addBuiltins(NetworkRegistry &reg)
 {
     NetworkSpec constant;
     constant.id = "constant";
@@ -37,7 +19,7 @@ NetworkRegistry::NetworkRegistry()
         return std::unique_ptr<NetworkModel>(std::make_unique<Network>(
             p.numNodes, p.netLatency, p.niOccupancy));
     };
-    add(std::move(constant));
+    reg.add(std::move(constant));
 
     NetworkSpec mesh;
     mesh.id = "mesh-2d";
@@ -51,7 +33,7 @@ NetworkRegistry::NetworkRegistry()
                                           p.linkOccupancy,
                                           p.niOccupancy));
     };
-    add(std::move(mesh));
+    reg.add(std::move(mesh));
 
     NetworkSpec fat;
     fat.id = "fat-tree";
@@ -64,90 +46,7 @@ NetworkRegistry::NetworkRegistry()
             std::make_unique<FatTreeNetwork>(p.numNodes, p.hopLatency,
                                              p.niOccupancy));
     };
-    add(std::move(fat));
-}
-
-NetworkRegistry &
-NetworkRegistry::global()
-{
-    static NetworkRegistry reg;
-    return reg;
-}
-
-const NetworkSpec &
-NetworkRegistry::add(NetworkSpec spec)
-{
-    RNUMA_ASSERT(spec.valid(),
-                 "network spec needs an id and a factory");
-    RNUMA_ASSERT(spec.id == canonicalNetworkId(spec.id),
-                 "network id '", spec.id,
-                 "' is not canonical (lowercase, stable spelling)");
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    if (findLocked(spec.id)) {
-        RNUMA_FATAL("network '", spec.id,
-                    "' is already registered");
-    }
-    specs_.push_back(std::make_unique<NetworkSpec>(std::move(spec)));
-    return *specs_.back();
-}
-
-const NetworkSpec *
-NetworkRegistry::findLocked(const std::string &name) const
-{
-    std::string id = canonicalNetworkId(name);
-    for (const auto &s : specs_) {
-        if (s->id == id || canonicalNetworkId(s->displayName) == id)
-            return s.get();
-    }
-    return nullptr;
-}
-
-const NetworkSpec *
-NetworkRegistry::find(const std::string &name) const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    return findLocked(name);
-}
-
-const NetworkSpec &
-NetworkRegistry::at(const std::string &name) const
-{
-    const NetworkSpec *s = find(name);
-    if (!s) {
-        RNUMA_FATAL("unknown network model '", name,
-                    "' (see rnuma_sweep --list-networks)");
-    }
-    return *s;
-}
-
-std::vector<const NetworkSpec *>
-NetworkRegistry::all() const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    std::vector<const NetworkSpec *> out;
-    out.reserve(specs_.size());
-    for (const auto &s : specs_)
-        out.push_back(s.get());
-    return out;
-}
-
-std::size_t
-NetworkRegistry::size() const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    return specs_.size();
-}
-
-const NetworkSpec &
-networkSpec(const std::string &name)
-{
-    return NetworkRegistry::global().at(name);
-}
-
-const NetworkSpec *
-findNetworkSpec(const std::string &name)
-{
-    return NetworkRegistry::global().find(name);
+    reg.add(std::move(fat));
 }
 
 std::unique_ptr<NetworkModel>

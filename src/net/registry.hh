@@ -1,7 +1,7 @@
 /**
  * @file
  * The network registry: string-keyed, composable interconnect models
- * mirroring the protocol registry (proto/registry.hh). A NetworkSpec
+ * (a Registry<NetworkSpec>, see common/registry.hh). A NetworkSpec
  * captures a stable id (the JSON/compare/CLI currency), a display
  * name, and a factory from Params to a NetworkModel; the three
  * built-ins are "constant" (the paper's fixed-latency network, the
@@ -16,11 +16,10 @@
 
 #include <functional>
 #include <memory>
-#include <shared_mutex>
 #include <string>
-#include <vector>
 
 #include "common/params.hh"
+#include "common/registry.hh"
 #include "net/network.hh"
 
 namespace rnuma
@@ -48,61 +47,27 @@ struct NetworkSpec
     NetworkFactory make;
 
     bool valid() const { return !id.empty() && make != nullptr; }
+
+    static constexpr const char *kind = "network";
 };
 
-/**
- * The process-wide name -> NetworkSpec table. Lookup is
- * case-insensitive on id and display name. Thread-safe exactly like
- * ProtocolRegistry: registration takes an exclusive lock and lookups
- * a shared one; returned spec pointers stay valid forever.
- */
-class NetworkRegistry
+/** The process-wide id -> NetworkSpec table. */
+using NetworkRegistry = Registry<NetworkSpec>;
+
+template <>
+void NetworkRegistry::addBuiltins(NetworkRegistry &reg);
+
+inline const NetworkSpec &
+networkSpec(const std::string &name)
 {
-  public:
-    /** The global registry, with the built-ins pre-registered. */
-    static NetworkRegistry &global();
+    return NetworkRegistry::global().at(name);
+}
 
-    /**
-     * Register a spec. Fatal on an invalid spec or a duplicate id.
-     * @return the registered (stably stored) spec.
-     */
-    const NetworkSpec &add(NetworkSpec spec);
-
-    /** Look up by id/display name; nullptr when unknown. */
-    const NetworkSpec *find(const std::string &name) const;
-
-    /** Look up; fatal (std::runtime_error under tests) when unknown. */
-    const NetworkSpec &at(const std::string &name) const;
-
-    /** All specs, in registration order (built-ins first). */
-    std::vector<const NetworkSpec *> all() const;
-
-    std::size_t size() const;
-
-  private:
-    NetworkRegistry();
-
-    /** find() without taking the lock (callers hold it). */
-    const NetworkSpec *findLocked(const std::string &name) const;
-
-    /** Guards specs_: exclusive for add, shared for lookups. */
-    mutable std::shared_mutex mutex_;
-    std::vector<std::unique_ptr<NetworkSpec>> specs_;
-};
-
-/**
- * Normalize a network label to its stable id: lowercased, with the
- * display-name spellings mapped back. Unknown labels pass through
- * lowercased — the shim the compare gate uses against pre-v5
- * baselines (whose cells default to "constant").
- */
-std::string canonicalNetworkId(const std::string &name);
-
-/** Shorthand for NetworkRegistry::global().at(name). */
-const NetworkSpec &networkSpec(const std::string &name);
-
-/** Shorthand for NetworkRegistry::global().find(name). */
-const NetworkSpec *findNetworkSpec(const std::string &name);
+inline const NetworkSpec *
+findNetworkSpec(const std::string &name)
+{
+    return NetworkRegistry::global().find(name);
+}
 
 /**
  * Build the interconnect Params selects (Params::networkModel).

@@ -1,8 +1,6 @@
 #include "proto/registry.hh"
 
-#include <cctype>
 #include <cmath>
-#include <mutex>
 
 #include "common/logging.hh"
 #include "core/analytic_model.hh"
@@ -12,17 +10,6 @@
 
 namespace rnuma
 {
-
-std::string
-canonicalProtocolId(const std::string &name)
-{
-    std::string s;
-    s.reserve(name.size());
-    for (char c : name)
-        s.push_back(static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c))));
-    return s;
-}
 
 ProtocolSpec
 hybridSpec(std::string id, std::string displayName,
@@ -55,7 +42,9 @@ staticThresholdSpec(std::size_t threshold)
         });
 }
 
-ProtocolRegistry::ProtocolRegistry()
+template <>
+void
+ProtocolRegistry::addBuiltins(ProtocolRegistry &reg)
 {
     ProtocolSpec cc;
     cc.id = "ccnuma";
@@ -66,7 +55,7 @@ ProtocolRegistry::ProtocolRegistry()
         return std::unique_ptr<Rad>(
             std::make_unique<CcNumaRad>(p, node, deps));
     };
-    add(std::move(cc));
+    reg.add(std::move(cc));
 
     ProtocolSpec sc;
     sc.id = "scoma";
@@ -77,9 +66,9 @@ ProtocolRegistry::ProtocolRegistry()
         return std::unique_ptr<Rad>(
             std::make_unique<SComaRad>(p, node, deps));
     };
-    add(std::move(sc));
+    reg.add(std::move(sc));
 
-    add(hybridSpec(
+    reg.add(hybridSpec(
         "rnuma", "R-NUMA",
         "hybrid RAD; pages relocate after "
         "Params::relocationThreshold refetches (Section 3.1)",
@@ -89,7 +78,7 @@ ProtocolRegistry::ProtocolRegistry()
                     p.relocationThreshold));
         }));
 
-    add(hybridSpec(
+    reg.add(hybridSpec(
         "rnuma-hysteresis", "R-NUMA(hyst)",
         "hybrid RAD; pages evicted from the page cache need 4x the "
         "refetches to relocate again (no ping-pong)",
@@ -100,7 +89,7 @@ ProtocolRegistry::ProtocolRegistry()
                     4 * p.relocationThreshold));
         }));
 
-    add(hybridSpec(
+    reg.add(hybridSpec(
         "rnuma-adaptive", "R-NUMA(adapt)",
         "hybrid RAD; per-page threshold halves on relocation and "
         "escalates 2x per relocate/evict ping-pong, tracking the "
@@ -113,7 +102,7 @@ ProtocolRegistry::ProtocolRegistry()
                                                           16 * t));
         }));
 
-    add(hybridSpec(
+    reg.add(hybridSpec(
         "rnuma-model", "R-NUMA(model)",
         "hybrid RAD; static threshold seeded from the Section 3.2 "
         "cost model's optimum T* = C_alloc / C_refetch",
@@ -138,7 +127,7 @@ ProtocolRegistry::ProtocolRegistry()
     // T* = C_alloc / C_refetch page-cache hits repaid its page
     // operations.
 
-    add(hybridSpec(
+    reg.add(hybridSpec(
         "rnuma-utility", "R-NUMA(utility)",
         "hybrid RAD; evictions escalate the per-page threshold only "
         "below the Eq 3 break-even hit count — profitable "
@@ -157,7 +146,7 @@ ProtocolRegistry::ProtocolRegistry()
                                                          be));
         }));
 
-    add(hybridSpec(
+    reg.add(hybridSpec(
         "rnuma-online-model", "R-NUMA(online)",
         "hybrid RAD; re-estimates the Eq 3 optimum online — the "
         "global threshold is T* minus the observed EWMA of resident "
@@ -173,7 +162,7 @@ ProtocolRegistry::ProtocolRegistry()
                     tStar, 1, 16 * p.relocationThreshold));
         }));
 
-    add(hybridSpec(
+    reg.add(hybridSpec(
         "rnuma-ewma", "R-NUMA(ewma)",
         "hybrid RAD; per-page EWMA utility score (resident hits vs "
         "the Eq 3 break-even) interpolates the threshold between "
@@ -193,90 +182,6 @@ ProtocolRegistry::ProtocolRegistry()
             return std::unique_ptr<RelocationPolicy>(
                 std::make_unique<EwmaUtilityPolicy>(lo, hi, be, 0.5));
         }));
-}
-
-ProtocolRegistry &
-ProtocolRegistry::global()
-{
-    static ProtocolRegistry reg;
-    return reg;
-}
-
-const ProtocolSpec &
-ProtocolRegistry::add(ProtocolSpec spec)
-{
-    RNUMA_ASSERT(spec.valid(), "protocol spec needs an id and a Rad "
-                 "factory");
-    RNUMA_ASSERT(spec.id == canonicalProtocolId(spec.id),
-                 "protocol id '", spec.id,
-                 "' is not canonical (lowercase)");
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    if (findLocked(spec.id)) {
-        RNUMA_FATAL("protocol '", spec.id,
-                    "' is already registered");
-    }
-    specs_.push_back(
-        std::make_unique<ProtocolSpec>(std::move(spec)));
-    return *specs_.back();
-}
-
-const ProtocolSpec *
-ProtocolRegistry::findLocked(const std::string &name) const
-{
-    std::string id = canonicalProtocolId(name);
-    for (const auto &s : specs_) {
-        if (s->id == id)
-            return s.get();
-    }
-    return nullptr;
-}
-
-const ProtocolSpec *
-ProtocolRegistry::find(const std::string &name) const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    return findLocked(name);
-}
-
-const ProtocolSpec &
-ProtocolRegistry::at(const std::string &name) const
-{
-    const ProtocolSpec *s = find(name);
-    if (!s) {
-        RNUMA_FATAL("unknown protocol '", name,
-                    "' (see rnuma_sweep --list-protocols)");
-    }
-    return *s;
-}
-
-std::vector<const ProtocolSpec *>
-ProtocolRegistry::all() const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    std::vector<const ProtocolSpec *> out;
-    out.reserve(specs_.size());
-    for (const auto &s : specs_)
-        out.push_back(s.get());
-    return out;
-}
-
-std::size_t
-ProtocolRegistry::size() const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    return specs_.size();
-}
-
-const ProtocolSpec &
-protocolSpec(const std::string &name)
-{
-    return ProtocolRegistry::global().at(name);
-}
-
-const ProtocolSpec *
-findProtocolSpec(const std::string &name)
-{
-    return ProtocolRegistry::global().find(name);
 }
 
 std::unique_ptr<Rad>

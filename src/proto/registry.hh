@@ -21,10 +21,9 @@
 
 #include <functional>
 #include <memory>
-#include <shared_mutex>
 #include <string>
-#include <vector>
 
+#include "common/registry.hh"
 #include "core/relocation_policy.hh"
 #include "rad/rad.hh"
 
@@ -66,65 +65,27 @@ struct ProtocolSpec
     PolicyFactory makePolicy;
 
     bool valid() const { return !id.empty() && makeRad != nullptr; }
+
+    static constexpr const char *kind = "protocol";
 };
 
-/**
- * The process-wide id -> ProtocolSpec table. Lookup matches the
- * stable id case-insensitively; display names are for tables only.
- * Specs have stable addresses for the registry's lifetime.
- *
- * Thread-safe: registration takes an exclusive lock and lookups a
- * shared one, so sweep workers may register and resolve specs
- * concurrently (previously the table was unguarded and only safe
- * for static init + main-thread use). Returned spec pointers stay
- * valid forever — specs are never removed or moved.
- */
-class ProtocolRegistry
+/** The process-wide id -> ProtocolSpec table. */
+using ProtocolRegistry = Registry<ProtocolSpec>;
+
+template <>
+void ProtocolRegistry::addBuiltins(ProtocolRegistry &reg);
+
+inline const ProtocolSpec &
+protocolSpec(const std::string &name)
 {
-  public:
-    /** The global registry, with the built-ins pre-registered. */
-    static ProtocolRegistry &global();
+    return ProtocolRegistry::global().at(name);
+}
 
-    /**
-     * Register a spec. Fatal on an invalid spec or a duplicate id.
-     * @return the registered (stably stored) spec.
-     */
-    const ProtocolSpec &add(ProtocolSpec spec);
-
-    /** Look up by id (any case); nullptr when unknown. */
-    const ProtocolSpec *find(const std::string &name) const;
-
-    /** Look up; fatal (std::runtime_error under tests) when unknown. */
-    const ProtocolSpec &at(const std::string &name) const;
-
-    /** All specs, in registration order (built-ins first). */
-    std::vector<const ProtocolSpec *> all() const;
-
-    std::size_t size() const;
-
-  private:
-    ProtocolRegistry();
-
-    /** find() without taking the lock (callers hold it). */
-    const ProtocolSpec *findLocked(const std::string &name) const;
-
-    /** Guards specs_: exclusive for add, shared for lookups. */
-    mutable std::shared_mutex mutex_;
-    std::vector<std::unique_ptr<ProtocolSpec>> specs_;
-};
-
-/**
- * Normalize a protocol name to its id form: lowercased ("CCNUMA" ->
- * "ccnuma"). Display names are not ids ("CC-NUMA" stays "cc-numa"
- * and resolves to nothing).
- */
-std::string canonicalProtocolId(const std::string &name);
-
-/** Shorthand for ProtocolRegistry::global().at(name). */
-const ProtocolSpec &protocolSpec(const std::string &name);
-
-/** Shorthand for ProtocolRegistry::global().find(name). */
-const ProtocolSpec *findProtocolSpec(const std::string &name);
+inline const ProtocolSpec *
+findProtocolSpec(const std::string &name)
+{
+    return ProtocolRegistry::global().find(name);
+}
 
 /**
  * Build an unregistered hybrid-RAD spec (block cache + page cache +

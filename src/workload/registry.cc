@@ -1,8 +1,6 @@
 #include "workload/registry.hh"
 
-#include <cctype>
 #include <cstdlib>
-#include <mutex>
 
 #include "common/logging.hh"
 #include "workload/apps/apps.hh"
@@ -108,106 +106,59 @@ WorkloadOptions::finish(const std::string &workload) const
 }
 
 //--------------------------------------------------------------------------
-// The application table, preserved verbatim from the pre-registry
-// interface: the registry's "app" entries are built over it, and the
-// appNames()/makeApp() shims keep reading it directly, so the streams
-// stay bit-identical.
-//--------------------------------------------------------------------------
-
-namespace
-{
-
-struct Entry
-{
-    const char *name;
-    const char *problem;
-    const char *input;
-    std::unique_ptr<VectorWorkload> (*make)(const Params &, double,
-                                            std::uint64_t);
-};
-
-const Entry entries[] = {
-    {"barnes", "Barnes-Hut N-body simulation", "16K particles",
-     &makeBarnes},
-    {"cholesky", "Blocked sparse Cholesky factorization", "tk16.O",
-     &makeCholesky},
-    {"em3d", "3-D electromagnetic wave propagation",
-     "76800 nodes, 15% remote, 5 iters", &makeEm3d},
-    {"fft", "Complex 1-D radix-sqrt(n) six-step FFT", "64K points",
-     &makeFft},
-    {"fmm", "Fast Multipole N-body simulation", "16K particles",
-     &makeFmm},
-    {"lu", "Blocked dense LU factorization",
-     "512x512 matrix, 16x16 blocks", &makeLu},
-    {"moldyn", "Molecular dynamics simulation",
-     "2048 particles, 15 iters", &makeMoldyn},
-    {"ocean", "Ocean simulation", "258x258 ocean", &makeOcean},
-    {"radix", "Integer radix sort", "1M integers, radix 1024",
-     &makeRadix},
-    {"raytrace", "3-D scene rendering using ray-tracing", "car",
-     &makeRaytrace},
-};
-
-const Entry &
-lookup(const std::string &name)
-{
-    for (const Entry &e : entries)
-        if (name == e.name)
-            return e;
-    RNUMA_FATAL("unknown application '", name,
-                "' (see appNames() for the valid set)");
-}
-
-/** Wrap a no-option factory: any option string is an error. */
-WorkloadMakeFn
-noOptions(const std::string &id,
-          std::function<std::unique_ptr<Workload>(
-              const Params &, double, std::uint64_t)>
-              make)
-{
-    return [id, make](const Params &p, double scale,
-                      std::uint64_t seed, const std::string &options)
-               -> std::unique_ptr<Workload> {
-        WorkloadOptions::parse(options).finish(id);
-        return make(p, scale, seed);
-    };
-}
-
-} // namespace
-
-//--------------------------------------------------------------------------
 // WorkloadRegistry
 //--------------------------------------------------------------------------
 
-std::string
-canonicalWorkloadId(const std::string &name)
+template <>
+void
+WorkloadRegistry::addBuiltins(WorkloadRegistry &reg)
 {
-    std::string s;
-    s.reserve(name.size());
-    for (char c : name)
-        s.push_back(static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c))));
-    return s;
-}
-
-WorkloadRegistry::WorkloadRegistry()
-{
-    // The ten Table 3 applications, through the preserved table.
-    for (const Entry &e : entries) {
+    // The ten Table 3 applications, in the paper's order.
+    struct AppEntry
+    {
+        const char *id;
+        const char *description;
+        const char *input;
+        std::unique_ptr<VectorWorkload> (*make)(const Params &, double,
+                                                std::uint64_t);
+    };
+    const AppEntry apps[] = {
+        {"barnes", "Barnes-Hut N-body simulation", "16K particles",
+         &makeBarnes},
+        {"cholesky", "Blocked sparse Cholesky factorization", "tk16.O",
+         &makeCholesky},
+        {"em3d", "3-D electromagnetic wave propagation",
+         "76800 nodes, 15% remote, 5 iters", &makeEm3d},
+        {"fft", "Complex 1-D radix-sqrt(n) six-step FFT", "64K points",
+         &makeFft},
+        {"fmm", "Fast Multipole N-body simulation", "16K particles",
+         &makeFmm},
+        {"lu", "Blocked dense LU factorization",
+         "512x512 matrix, 16x16 blocks", &makeLu},
+        {"moldyn", "Molecular dynamics simulation",
+         "2048 particles, 15 iters", &makeMoldyn},
+        {"ocean", "Ocean simulation", "258x258 ocean", &makeOcean},
+        {"radix", "Integer radix sort", "1M integers, radix 1024",
+         &makeRadix},
+        {"raytrace", "3-D scene rendering using ray-tracing", "car",
+         &makeRaytrace},
+    };
+    for (const AppEntry &a : apps) {
         WorkloadSpec spec;
-        spec.id = e.name;
-        spec.displayName = e.name;
-        spec.description = e.problem;
-        spec.input = e.input;
+        spec.id = a.id;
+        spec.displayName = a.id;
+        spec.description = a.description;
+        spec.input = a.input;
         spec.category = "app";
-        auto make = e.make;
-        spec.make = noOptions(
-            spec.id, [make](const Params &p, double scale,
-                            std::uint64_t seed)
-                         -> std::unique_ptr<Workload> {
-                return make(p, scale, seed);
-            });
-        add(std::move(spec));
+        // The apps take no options: any option string is an error.
+        spec.make = [id = a.id, make = a.make](
+                        const Params &p, double scale,
+                        std::uint64_t seed, const std::string &options)
+            -> std::unique_ptr<Workload> {
+            WorkloadOptions::parse(options).finish(id);
+            return make(p, scale, seed);
+        };
+        reg.add(std::move(spec));
     }
 
     // The microbenchmark patterns, defaulted to the parameterizations
@@ -324,7 +275,7 @@ WorkloadRegistry::WorkloadRegistry()
         spec.input = m.input;
         spec.category = "micro";
         spec.make = m.make;
-        add(std::move(spec));
+        reg.add(std::move(spec));
     }
 
     // The commercial-serving generators (Section 1's motivating
@@ -344,7 +295,7 @@ WorkloadRegistry::WorkloadRegistry()
         return std::unique_ptr<Workload>(
             makeZipfServe(p, scale, seed, options));
     };
-    add(std::move(zipf));
+    reg.add(std::move(zipf));
 
     WorkloadSpec phase;
     phase.id = "phase-shift";
@@ -359,7 +310,7 @@ WorkloadRegistry::WorkloadRegistry()
         return std::unique_ptr<Workload>(
             makePhaseShift(p, scale, seed, options));
     };
-    add(std::move(phase));
+    reg.add(std::move(phase));
 
     WorkloadSpec ten;
     ten.id = "tenants";
@@ -374,7 +325,7 @@ WorkloadRegistry::WorkloadRegistry()
         return std::unique_ptr<Workload>(
             makeTenants(p, scale, seed, options));
     };
-    add(std::move(ten));
+    reg.add(std::move(ten));
 
     WorkloadSpec db;
     db.id = "database-scan";
@@ -389,90 +340,18 @@ WorkloadRegistry::WorkloadRegistry()
         return std::unique_ptr<Workload>(
             makeDatabaseScan(p, scale, seed, options));
     };
-    add(std::move(db));
+    reg.add(std::move(db));
 }
 
-WorkloadRegistry &
-WorkloadRegistry::global()
+std::vector<std::string>
+workloadIds(const std::string &category)
 {
-    static WorkloadRegistry reg;
-    return reg;
-}
-
-const WorkloadSpec &
-WorkloadRegistry::add(WorkloadSpec spec)
-{
-    RNUMA_ASSERT(spec.valid(),
-                 "workload spec needs an id and a factory");
-    RNUMA_ASSERT(spec.id == canonicalWorkloadId(spec.id),
-                 "workload id '", spec.id,
-                 "' is not canonical (lowercase, stable spelling)");
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    if (findLocked(spec.id)) {
-        RNUMA_FATAL("workload '", spec.id,
-                    "' is already registered");
+    std::vector<std::string> ids;
+    for (const WorkloadSpec *s : WorkloadRegistry::global().all()) {
+        if (s->category == category)
+            ids.push_back(s->id);
     }
-    specs_.push_back(std::make_unique<WorkloadSpec>(std::move(spec)));
-    return *specs_.back();
-}
-
-const WorkloadSpec *
-WorkloadRegistry::findLocked(const std::string &name) const
-{
-    std::string id = canonicalWorkloadId(name);
-    for (const auto &s : specs_) {
-        if (s->id == id || canonicalWorkloadId(s->displayName) == id)
-            return s.get();
-    }
-    return nullptr;
-}
-
-const WorkloadSpec *
-WorkloadRegistry::find(const std::string &name) const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    return findLocked(name);
-}
-
-const WorkloadSpec &
-WorkloadRegistry::at(const std::string &name) const
-{
-    const WorkloadSpec *s = find(name);
-    if (!s) {
-        RNUMA_FATAL("unknown workload '", name,
-                    "' (see rnuma_sweep --list-workloads)");
-    }
-    return *s;
-}
-
-std::vector<const WorkloadSpec *>
-WorkloadRegistry::all() const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    std::vector<const WorkloadSpec *> out;
-    out.reserve(specs_.size());
-    for (const auto &s : specs_)
-        out.push_back(s.get());
-    return out;
-}
-
-std::size_t
-WorkloadRegistry::size() const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    return specs_.size();
-}
-
-const WorkloadSpec &
-workloadSpec(const std::string &name)
-{
-    return WorkloadRegistry::global().at(name);
-}
-
-const WorkloadSpec *
-findWorkloadSpec(const std::string &name)
-{
-    return WorkloadRegistry::global().find(name);
+    return ids;
 }
 
 std::unique_ptr<Workload>
@@ -491,35 +370,6 @@ makeWorkload(const std::string &name, const Params &p, double scale,
                      "' emitted no memory references at scale ",
                      scale);
     }
-    return wl;
-}
-
-//--------------------------------------------------------------------------
-// Pre-registry application shims.
-//--------------------------------------------------------------------------
-
-const std::vector<std::string> &
-appNames()
-{
-    static const std::vector<std::string> names = [] {
-        std::vector<std::string> v;
-        for (const Entry &e : entries)
-            v.emplace_back(e.name);
-        return v;
-    }();
-    return names;
-}
-
-std::unique_ptr<VectorWorkload>
-makeApp(const std::string &name, const Params &p, double scale,
-        std::uint64_t seed)
-{
-    auto wl = lookup(name).make(p, scale, seed);
-    // Every generator clamps its structure (see scaled()) so that it
-    // stays viable at any positive scale; a workload with zero loads
-    // and stores would silently turn every figure cell into a no-op.
-    RNUMA_ASSERT(wl->memRefCount() > 0, "application '", name,
-                 "' emitted no memory references at scale ", scale);
     return wl;
 }
 

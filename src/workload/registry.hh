@@ -1,10 +1,10 @@
 /**
  * @file
  * The workload registry: string-keyed, composable reference-stream
- * generators mirroring the protocol and network registries
- * (proto/registry.hh, net/registry.hh). A WorkloadSpec captures a
- * stable id (the JSON/compare/CLI currency), a display name, and a
- * factory from (Params, scale, seed, option string) to a Workload.
+ * generators (a Registry<WorkloadSpec>, see common/registry.hh). A
+ * WorkloadSpec captures a stable id (the JSON/compare/CLI currency),
+ * a display name, and a factory from (Params, scale, seed, option
+ * string) to a Workload.
  *
  * The built-ins cover three categories:
  *  - "app": the ten Table 3 application generators (barnes ...
@@ -27,11 +27,11 @@
 
 #include <functional>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "common/params.hh"
+#include "common/registry.hh"
 #include "workload/workload.hh"
 
 namespace rnuma
@@ -100,60 +100,34 @@ struct WorkloadSpec
     WorkloadMakeFn make;
 
     bool valid() const { return !id.empty() && make != nullptr; }
+
+    static constexpr const char *kind = "workload";
 };
 
-/**
- * The process-wide name -> WorkloadSpec table. Lookup is
- * case-insensitive on id and display name. Thread-safe exactly like
- * ProtocolRegistry: registration takes an exclusive lock and lookups
- * a shared one; returned spec pointers stay valid forever.
- */
-class WorkloadRegistry
+/** The process-wide id -> WorkloadSpec table. */
+using WorkloadRegistry = Registry<WorkloadSpec>;
+
+template <>
+void WorkloadRegistry::addBuiltins(WorkloadRegistry &reg);
+
+inline const WorkloadSpec &
+workloadSpec(const std::string &name)
 {
-  public:
-    /** The global registry, with the built-ins pre-registered. */
-    static WorkloadRegistry &global();
+    return WorkloadRegistry::global().at(name);
+}
 
-    /**
-     * Register a spec. Fatal on an invalid spec or a duplicate id.
-     * @return the registered (stably stored) spec.
-     */
-    const WorkloadSpec &add(WorkloadSpec spec);
-
-    /** Look up by id/display name; nullptr when unknown. */
-    const WorkloadSpec *find(const std::string &name) const;
-
-    /** Look up; fatal (std::runtime_error under tests) when unknown. */
-    const WorkloadSpec &at(const std::string &name) const;
-
-    /** All specs, in registration order (built-ins first). */
-    std::vector<const WorkloadSpec *> all() const;
-
-    std::size_t size() const;
-
-  private:
-    WorkloadRegistry();
-
-    /** find() without taking the lock (callers hold it). */
-    const WorkloadSpec *findLocked(const std::string &name) const;
-
-    /** Guards specs_: exclusive for add, shared for lookups. */
-    mutable std::shared_mutex mutex_;
-    std::vector<std::unique_ptr<WorkloadSpec>> specs_;
-};
+inline const WorkloadSpec *
+findWorkloadSpec(const std::string &name)
+{
+    return WorkloadRegistry::global().find(name);
+}
 
 /**
- * Normalize a workload label to its stable id: lowercased. Unknown
- * labels pass through lowercased — the shim the compare gate uses
- * against pre-v7 baselines (whose cells carried no workload ids).
+ * The ids of every registered workload in @p category, in
+ * registration order: workloadIds("app") is Table 3's ten
+ * applications in the paper's (alphabetical) order.
  */
-std::string canonicalWorkloadId(const std::string &name);
-
-/** Shorthand for WorkloadRegistry::global().at(name). */
-const WorkloadSpec &workloadSpec(const std::string &name);
-
-/** Shorthand for WorkloadRegistry::global().find(name). */
-const WorkloadSpec *findWorkloadSpec(const std::string &name);
+std::vector<std::string> workloadIds(const std::string &category);
 
 /**
  * Build a registered workload by name. Fatal on unknown names or
@@ -166,24 +140,6 @@ std::unique_ptr<Workload>
 makeWorkload(const std::string &name, const Params &p,
              double scale = 1.0, std::uint64_t seed = 1,
              const std::string &options = "");
-
-//--------------------------------------------------------------------------
-// The pre-registry application interface, preserved verbatim: the ten
-// Table 3 generators by name. Every call maps onto the registry's
-// "app" entries, so the streams (and the figure artifacts downstream
-// of them) are bit-identical to the pre-registry harness.
-//--------------------------------------------------------------------------
-
-/** The ten application names in the paper's (alphabetical) order. */
-const std::vector<std::string> &appNames();
-
-/**
- * Build an application workload by name. Fatal on unknown names.
- * @param scale input scale (1.0 = calibrated size)
- */
-std::unique_ptr<VectorWorkload>
-makeApp(const std::string &name, const Params &p, double scale = 1.0,
-        std::uint64_t seed = 1);
 
 } // namespace rnuma
 

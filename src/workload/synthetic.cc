@@ -81,8 +81,9 @@ StreamBuilder::finish()
 std::size_t
 scaled(std::size_t v, double scale, std::size_t min)
 {
-    if (scale <= 0) {
-        RNUMA_FATAL("workload scale must be positive, got ", scale);
+    if (!std::isfinite(scale) || scale <= 0) {
+        RNUMA_FATAL("workload scale must be a positive finite number, "
+                    "got ", scale);
     }
     if (min == 0)
         min = 1;

@@ -80,7 +80,7 @@ class StreamBuilder
  * Generators use it to shrink inputs for fast unit tests, passing a
  * @p min large enough to keep their iteration structure viable (for
  * example, lu needs a block grid of at least 2x2 to emit any memory
- * references). Fatal on scale <= 0.
+ * references). Fatal unless scale is positive and finite.
  */
 std::size_t scaled(std::size_t v, double scale, std::size_t min = 1);
 

@@ -283,7 +283,7 @@ TEST(WorkloadCache, NonSnapshottableKeyedFactoryWastesNoGeneration)
     WorkloadFactory make = [calls, p] {
         ++*calls;
         return std::unique_ptr<Workload>(std::make_unique<
-            OpaqueWorkload>(makeApp("moldyn", p, testScale)));
+            OpaqueWorkload>(test::appWorkload("moldyn", p, testScale)));
     };
     Sweep s("opaque", "", "");
     s.add({"moldyn", "a", protocolSpec("ccnuma"), p, make,
@@ -614,6 +614,22 @@ TEST(CompareGate, RejectsUnsupportedSchemaVersions)
     EXPECT_EQ(compareResults(v7, tampered, CompareOptions{-1}, os2),
               3u);
     EXPECT_EQ(os2.str().find("note:"), std::string::npos) << os2.str();
+
+    // Ids load verbatim: a v8 cell whose network is spelled "Mesh"
+    // is not the "mesh-2d" baseline's network.
+    const std::string mesh_ids =
+        "\"protocol\": \"rnuma-t16\", \"directory\": \"full-map\","
+        " \"workload\": \"moldyn\", \"stats\": {\"ticks\": 42,"
+        " \"events\": 7}, \"network\": ";
+    ResultDoc mesh = loadResults(
+        doc("rnuma-sweep-results/v8", mesh_ids + "\"mesh-2d\""));
+    ResultDoc spelled = loadResults(
+        doc("rnuma-sweep-results/v8", mesh_ids + "\"Mesh\""));
+    EXPECT_EQ(spelled.figures[0].cells[0].network, "Mesh");
+    std::ostringstream os3;
+    EXPECT_EQ(compareResults(mesh, spelled, CompareOptions{-1}, os3),
+              1u)
+        << os3.str();
 
     // A cell without stats.events is refused, not compared blind.
     EXPECT_THROW(loadResults(doc("rnuma-sweep-results/v8",

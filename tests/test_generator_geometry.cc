@@ -99,7 +99,7 @@ void
 generateAndRunEverywhere(const char *app, const Params &p)
 {
     SCOPED_TRACE(app);
-    std::unique_ptr<VectorWorkload> wl = makeApp(app, p, 0.01);
+    std::unique_ptr<VectorWorkload> wl = test::appWorkload(app, p, 0.01);
     ASSERT_TRUE(wl);
     EXPECT_GE(wl->memRefCount(), 1u);
     ASSERT_GT(wl->addrLimit(), 0u);
@@ -155,7 +155,7 @@ TEST(GeneratorGeometry, BaseMachineStreamsCarryTheAuditBound)
     // honors it (finish() would have panicked otherwise).
     Params p = Params::base();
     for (const char *app : auditedApps) {
-        std::unique_ptr<VectorWorkload> wl = makeApp(app, p, 0.02);
+        std::unique_ptr<VectorWorkload> wl = test::appWorkload(app, p, 0.02);
         ASSERT_GT(wl->addrLimit(), 0u) << app;
         EXPECT_GE(wl->memRefCount(), 1u) << app;
     }

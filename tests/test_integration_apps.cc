@@ -29,7 +29,7 @@ class AppIntegration : public ::testing::TestWithParam<std::string>
 TEST_P(AppIntegration, RunsUnderEveryProtocol)
 {
     Params p = test::paperParams();
-    auto wl = makeApp(GetParam(), p, testScale);
+    auto wl = test::appWorkload(GetParam(), p, testScale);
     ASSERT_GT(wl->totalRefs(), 0u);
 
     for (std::string proto : {"ccnuma", "scoma", "rnuma"}) {
@@ -54,7 +54,7 @@ TEST_P(AppIntegration, RunsUnderEveryProtocol)
 TEST_P(AppIntegration, DeterministicTiming)
 {
     Params p = test::paperParams();
-    auto wl = makeApp(GetParam(), p, testScale);
+    auto wl = makeWorkload(GetParam(), p, testScale);
     RunStats a = runProtocol(p, "rnuma", *wl);
     RunStats b = runProtocol(p, "rnuma", *wl);
     EXPECT_EQ(a.ticks, b.ticks);
@@ -65,8 +65,8 @@ TEST_P(AppIntegration, DeterministicTiming)
 TEST_P(AppIntegration, SeedChangesStreamButStaysValid)
 {
     Params p = test::paperParams();
-    auto w1 = makeApp(GetParam(), p, testScale, /*seed=*/1);
-    auto w2 = makeApp(GetParam(), p, testScale, /*seed=*/2);
+    auto w1 = makeWorkload(GetParam(), p, testScale, /*seed=*/1);
+    auto w2 = makeWorkload(GetParam(), p, testScale, /*seed=*/2);
     // Same structure (barrier/End counts), possibly different refs.
     EXPECT_EQ(w1->numCpus(), w2->numCpus());
     RunStats s = runProtocol(p, "rnuma", *w2);
@@ -83,7 +83,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Registry, NamesMatchTable3)
 {
-    const auto &names = appNames();
+    const auto names = workloadIds("app");
     ASSERT_EQ(names.size(), 10u);
     EXPECT_EQ(names.front(), "barnes");
     EXPECT_EQ(names.back(), "raytrace");
@@ -92,7 +92,7 @@ TEST(Registry, NamesMatchTable3)
 TEST(Registry, UnknownNameIsFatal)
 {
     Params p = test::paperParams();
-    EXPECT_THROW(makeApp("no-such-app", p, 0.1), std::runtime_error);
+    EXPECT_THROW(makeWorkload("no-such-app", p, 0.1), std::runtime_error);
 }
 
 } // namespace rnuma

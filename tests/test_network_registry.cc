@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the network registry (net/registry.hh): built-in specs,
- * name canonicalization, makeNetwork() dispatch, the model-derived
+ * id-only lookup, makeNetwork() dispatch, the model-derived
  * remote-fetch latency, Params::validate()'s geometry rejection, and
  * the same concurrent registration/lookup hammer the protocol
  * registry carries — the registries share a locking discipline and
@@ -11,38 +11,72 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "net/registry.hh"
 #include "net/topology.hh"
+#include "proto/registry.hh"
+#include "workload/registry.hh"
 
 namespace rnuma
 {
 
-TEST(NetworkRegistry, BuiltinsResolveByIdAndDisplayName)
+namespace
+{
+
+std::string
+upper(std::string s)
+{
+    for (char &c : s)
+        c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    return s;
+}
+
+/** Every spec resolves by its id in any case, and by nothing else. */
+template <class Spec>
+void
+expectIdOnlyLookup(const Registry<Spec> &reg)
+{
+    std::size_t distinct = 0;
+    for (const Spec *s : reg.all()) {
+        EXPECT_EQ(reg.find(s->id), s) << s->id;
+        EXPECT_EQ(reg.find(upper(s->id)), s) << s->id;
+        if (upper(s->displayName) != upper(s->id)) {
+            ++distinct;
+            EXPECT_EQ(reg.find(s->displayName), nullptr)
+                << Spec::kind << " display name '" << s->displayName
+                << "' resolved";
+        }
+    }
+    EXPECT_GT(distinct, 0u) << Spec::kind;
+}
+
+} // namespace
+
+TEST(Registry, DisplayNamesAreNotIdsInAnyRegistry)
+{
+    expectIdOnlyLookup(NetworkRegistry::global());
+    expectIdOnlyLookup(ProtocolRegistry::global());
+    expectIdOnlyLookup(WorkloadRegistry::global());
+}
+
+TEST(NetworkRegistry, BuiltinsResolveByIdInAnyCase)
 {
     EXPECT_NE(findNetworkSpec("constant"), nullptr);
     EXPECT_NE(findNetworkSpec("mesh-2d"), nullptr);
     EXPECT_NE(findNetworkSpec("fat-tree"), nullptr);
-    // Case-insensitive, display-name spellings included.
-    EXPECT_EQ(networkSpec("2D Mesh").id, "mesh-2d");
-    EXPECT_EQ(networkSpec("Fat Tree").id, "fat-tree");
+    EXPECT_EQ(networkSpec("MESH-2D").id, "mesh-2d");
     EXPECT_EQ(networkSpec("CONSTANT").id, "constant");
+    // Display names and other spellings are not ids.
+    EXPECT_EQ(networkSpec("mesh-2d").displayName, "2D mesh");
+    EXPECT_EQ(findNetworkSpec("2D mesh"), nullptr);
+    EXPECT_EQ(findNetworkSpec("Fat tree"), nullptr);
+    EXPECT_EQ(findNetworkSpec("mesh"), nullptr);
     EXPECT_EQ(findNetworkSpec("token-ring"), nullptr);
     EXPECT_THROW(networkSpec("token-ring"), std::runtime_error);
-}
-
-TEST(NetworkRegistry, CanonicalIdNormalizesSpellings)
-{
-    EXPECT_EQ(canonicalNetworkId("Mesh"), "mesh-2d");
-    EXPECT_EQ(canonicalNetworkId("2d mesh"), "mesh-2d");
-    EXPECT_EQ(canonicalNetworkId("FatTree"), "fat-tree");
-    EXPECT_EQ(canonicalNetworkId("Constant"), "constant");
-    // Unknown labels pass through lowercased (the pre-v5 baseline
-    // shim relies on this being total).
-    EXPECT_EQ(canonicalNetworkId("Hypercube"), "hypercube");
 }
 
 TEST(NetworkRegistry, MakeNetworkDispatchesOnParams)

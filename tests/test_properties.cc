@@ -283,7 +283,7 @@ TEST(Properties, DirectoryInvariantsHoldAfterAppInEveryFormat)
         p.dirRegionSize = 2;
         p.validate();
         for (const char *proto : {"ccnuma", "scoma", "rnuma"}) {
-            auto wl = makeApp("em3d", p, 0.05);
+            auto wl = makeWorkload("em3d", p, 0.05);
             wl->reset();
             Machine m(p, protocolSpec(proto), *wl);
             m.run();
@@ -304,7 +304,7 @@ TEST_P(ConservationSweep, MissKindsAndServiceCountsAddUp)
 {
     auto [app, proto] = GetParam();
     Params p = test::paperParams();
-    auto wl = makeApp(app, p, 0.1);
+    auto wl = makeWorkload(app, p, 0.1);
     RunStats s = runProtocol(p, proto, *wl);
     EXPECT_EQ(s.coldMisses + s.coherenceMisses + s.refetches,
               s.remoteFetches);

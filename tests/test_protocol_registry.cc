@@ -65,8 +65,7 @@ TEST(ProtocolRegistry, LookupNormalizesNames)
     // Display names are labels, not ids.
     EXPECT_EQ(cc.displayName, "CC-NUMA");
     EXPECT_EQ(findProtocolSpec("CC-NUMA"), nullptr);
-    EXPECT_EQ(canonicalProtocolId("R-NUMA"), "r-numa");
-    EXPECT_EQ(canonicalProtocolId("rnuma-t16"), "rnuma-t16");
+    EXPECT_EQ(findProtocolSpec("R-NUMA"), nullptr);
 }
 
 TEST(ProtocolRegistry, UnknownNameIsAnError)

@@ -108,7 +108,7 @@ TEST(ComparisonMatrixTest, RegistryAppsAreDeterministicAcrossJobs)
     for (const char *app : {"barnes", "em3d", "moldyn"}) {
         for (double scale : {0.02, 0.05}) {
             auto make = [&]() -> std::unique_ptr<Workload> {
-                return makeApp(app, p, scale, /*seed=*/7);
+                return makeWorkload(app, p, scale, /*seed=*/7);
             };
             auto wl = make();
             ComparisonMatrix serial = compareAll(p, *wl);

@@ -15,6 +15,7 @@
 #include <set>
 #include <vector>
 
+#include "workload/apps/apps.hh"
 #include "workload/registry.hh"
 #include "workload/serving.hh"
 
@@ -68,7 +69,7 @@ TEST(WorkloadRegistry, BuiltinsCoverAllThreeCategories)
     std::size_t apps = 0, micros = 0, serving = 0;
     for (const WorkloadSpec *s : reg.all()) {
         EXPECT_TRUE(s->valid());
-        EXPECT_EQ(s->id, canonicalWorkloadId(s->id));
+        EXPECT_EQ(findWorkloadSpec(s->id), s);
         if (s->category == "app")
             ++apps;
         else if (s->category == "micro")
@@ -81,12 +82,15 @@ TEST(WorkloadRegistry, BuiltinsCoverAllThreeCategories)
     EXPECT_GE(serving, 4u);
 }
 
-TEST(WorkloadRegistry, LookupIsCaseInsensitiveOnIdAndDisplayName)
+TEST(WorkloadRegistry, LookupIsCaseInsensitiveOnIdOnly)
 {
     EXPECT_NE(findWorkloadSpec("zipf-serve"), nullptr);
     EXPECT_NE(findWorkloadSpec("ZIPF-SERVE"), nullptr);
     EXPECT_EQ(findWorkloadSpec("no-such-workload"), nullptr);
     EXPECT_EQ(workloadSpec("Barnes").id, "barnes");
+    // Display names label tables; they are not ids.
+    EXPECT_EQ(findWorkloadSpec("Zipf serving"), nullptr);
+    EXPECT_EQ(findWorkloadSpec("Multi-tenant"), nullptr);
 }
 
 TEST(WorkloadRegistry, UnknownNameIsFatal)
@@ -96,18 +100,18 @@ TEST(WorkloadRegistry, UnknownNameIsFatal)
                  std::runtime_error);
 }
 
-TEST(WorkloadRegistry, MakeWorkloadMatchesMakeAppBitForBit)
+TEST(WorkloadRegistry, MakeWorkloadMatchesTheAppGeneratorBitForBit)
 {
     Params p = test::smallParams();
-    auto via_shim = makeApp("radix", p, 0.1, 7);
+    auto via_generator = makeRadix(p, 0.1, 7);
     auto via_registry = makeWorkload("radix", p, 0.1, 7);
     auto *vec = dynamic_cast<VectorWorkload *>(via_registry.get());
     ASSERT_NE(vec, nullptr);
-    ASSERT_EQ(vec->numCpus(), via_shim->numCpus());
+    ASSERT_EQ(vec->numCpus(), via_generator->numCpus());
     for (CpuId c = 0; c < vec->numCpus(); ++c) {
-        ASSERT_EQ(vec->size(c), via_shim->size(c));
+        ASSERT_EQ(vec->size(c), via_generator->size(c));
         for (std::size_t i = 0; i < vec->size(c); ++i) {
-            const Ref &a = via_shim->at(c, i);
+            const Ref &a = via_generator->at(c, i);
             const Ref &b = vec->at(c, i);
             ASSERT_EQ(a.kind, b.kind);
             ASSERT_EQ(a.addr, b.addr);

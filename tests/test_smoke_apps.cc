@@ -64,7 +64,7 @@ TEST_P(AppSmoke, NWayComparisonOnSmallMachine)
     Params p = test::smallParams();
     p.pageCacheSize = 16 * p.pageSize;
     p.validate();
-    auto wl = makeApp(GetParam(), p, smokeScale);
+    auto wl = test::appWorkload(GetParam(), p, smokeScale);
     ASSERT_GT(wl->totalRefs(), 0u);
 
     // Empty spec list: every registered protocol, in registration
@@ -113,7 +113,7 @@ TEST_P(AppSmoke, NWayComparisonOnSmallMachine)
 TEST_P(AppSmoke, StaysViableAtHundredthScale)
 {
     Params p = test::smallParams();
-    auto wl = makeApp(GetParam(), p, 0.01);
+    auto wl = test::appWorkload(GetParam(), p, 0.01);
     EXPECT_GT(wl->memRefCount(), 0u);
     RunStats s = runProtocol(p, "rnuma", *wl);
     EXPECT_GT(s.refs, 0u);
@@ -124,13 +124,13 @@ TEST_P(AppSmoke, StaysViableAtHundredthScale)
 // lockstep with the registered app set — a new or renamed app is
 // covered (or surfaced) automatically.
 INSTANTIATE_TEST_SUITE_P(AllApps, AppSmoke,
-                         ::testing::ValuesIn(appNames()),
+                         ::testing::ValuesIn(workloadIds("app")),
                          appTestName);
 
 // Table 3 has exactly ten applications.
 TEST(AppSmoke, RegistryHasAllTableThreeApps)
 {
-    EXPECT_EQ(appNames().size(), 10u);
+    EXPECT_EQ(workloadIds("app").size(), 10u);
 }
 
 } // namespace rnuma

@@ -2,13 +2,19 @@
  * @file
  * Shared helpers for the unit and integration tests: a deliberately
  * tiny machine configuration that makes cache, page-cache, and
- * threshold behaviors easy to trigger with short reference streams.
+ * threshold behaviors easy to trigger with short reference streams,
+ * and registry workloads as inspectable in-memory streams.
  */
 
 #ifndef RNUMA_TESTS_TEST_UTIL_HH
 #define RNUMA_TESTS_TEST_UTIL_HH
 
+#include <memory>
+#include <stdexcept>
+#include <string>
+
 #include "common/params.hh"
+#include "workload/registry.hh"
 
 namespace rnuma::test
 {
@@ -40,6 +46,21 @@ inline Params
 paperParams()
 {
     return Params::base();
+}
+
+/**
+ * Generate the registered workload @p id as the VectorWorkload the
+ * app generators produce, for tests that inspect the stream itself.
+ */
+inline std::unique_ptr<VectorWorkload>
+appWorkload(const std::string &id, const Params &p, double scale,
+            std::uint64_t seed = 1)
+{
+    std::unique_ptr<Workload> wl = makeWorkload(id, p, scale, seed);
+    if (!dynamic_cast<VectorWorkload *>(wl.get()))
+        throw std::logic_error(id + " is not an in-memory workload");
+    return std::unique_ptr<VectorWorkload>(
+        static_cast<VectorWorkload *>(wl.release()));
 }
 
 } // namespace rnuma::test

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "workload/address_space.hh"
@@ -116,10 +117,14 @@ TEST(StreamBuilder, ScaledClampsToStructuralMinimum)
     // ...but never shrinks a large enough value.
     EXPECT_EQ(scaled(16, 1.0, 2), 16u);
     EXPECT_EQ(scaled(16, 0.5, 0), 8u); // min 0 behaves as 1
-    // Non-positive scales are configuration errors (fatal), not
-    // clamps.
+    // Non-positive and non-finite scales are configuration errors
+    // (fatal), not clamps.
     EXPECT_THROW(scaled(16, 0.0), std::runtime_error);
     EXPECT_THROW(scaled(16, -1.0), std::runtime_error);
+    EXPECT_THROW(scaled(16, std::numeric_limits<double>::quiet_NaN()),
+                 std::runtime_error);
+    EXPECT_THROW(scaled(16, std::numeric_limits<double>::infinity()),
+                 std::runtime_error);
 }
 
 TEST(VectorWorkload, MemRefCountCountsOnlyLoadsAndStores)

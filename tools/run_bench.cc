@@ -25,8 +25,7 @@
  *                        "churn" sweep); other figures ignore it
  *   --runs N             runs per figure to take the median over
  *                        (default 5)
- *   --scale S            workload scale (default: RNUMA_BENCH_SCALE
- *                        or 1)
+ *   --scale S            workload scale (default 1)
  *   --jobs N             worker threads; 0 = hardware concurrency
  *                        (default 1)
  *   --out FILE           write the rnuma-bench/v1 JSON artifact
@@ -43,6 +42,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -77,8 +77,7 @@ usage(std::ostream &os, int status)
           "                       figures (see 'churn')\n"
           "  --runs N             runs per figure for the median "
           "(default 5)\n"
-          "  --scale S            workload scale (default: "
-          "RNUMA_BENCH_SCALE or 1)\n"
+          "  --scale S            workload scale (default 1)\n"
           "  --jobs N             worker threads (0 = hardware "
           "concurrency; default 1)\n"
           "  --out FILE           write the rnuma-bench/v1 JSON "
@@ -121,7 +120,7 @@ int
 main(int argc, char **argv)
 {
     std::size_t runs = 5;
-    double scale = envScale();
+    double scale = 1.0;
     std::size_t jobs = 1;
     std::string out_path;
     std::string compare_path;
@@ -195,9 +194,10 @@ main(int argc, char **argv)
             const char *val = next();
             char *end = nullptr;
             scale = std::strtod(val, &end);
-            if (end == val || *end != '\0' || scale <= 0) {
+            if (end == val || *end != '\0' || !std::isfinite(scale) ||
+                scale <= 0) {
                 std::cerr << "rnuma_bench: --scale wants a positive "
-                             "number, got '" << val << "'\n";
+                             "finite number, got '" << val << "'\n";
                 return 2;
             }
         } else if (arg == "--jobs") {

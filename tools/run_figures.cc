@@ -22,8 +22,7 @@
  *   --workload NAME      (repeatable) select registered workloads
  *                        for workload-parametric figures (the
  *                        "churn" sweep); other figures ignore it
- *   --scale S            workload scale (default: RNUMA_BENCH_SCALE
- *                        or 1)
+ *   --scale S            workload scale (default 1)
  *   --jobs N             worker threads; 0 = hardware concurrency
  *                        (default 1)
  *   --json-out FILE      write results as rnuma-sweep-results/v8 JSON
@@ -47,6 +46,7 @@
  * closing summary line.
  */
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -86,8 +86,7 @@ usage(std::ostream &os, int status)
           "  --workload NAME      (repeatable) select workloads for "
           "workload-parametric\n"
           "                       figures (see 'churn')\n"
-          "  --scale S            workload scale (default: "
-          "RNUMA_BENCH_SCALE or 1)\n"
+          "  --scale S            workload scale (default 1)\n"
           "  --jobs N             worker threads (0 = hardware "
           "concurrency; default 1)\n"
           "  --json-out FILE      write rnuma-sweep-results/v8 JSON\n"
@@ -206,7 +205,7 @@ slurp(const std::string &path, std::string &out)
 int
 main(int argc, char **argv)
 {
-    double scale = envScale();
+    double scale = 1.0;
     std::size_t jobs = 1;
     std::vector<std::string> protocols;
     std::vector<std::string> networks;
@@ -269,9 +268,10 @@ main(int argc, char **argv)
             const char *val = next();
             char *end = nullptr;
             scale = std::strtod(val, &end);
-            if (end == val || *end != '\0' || scale <= 0) {
+            if (end == val || *end != '\0' || !std::isfinite(scale) ||
+                scale <= 0) {
                 std::cerr << "rnuma_sweep: --scale wants a positive "
-                             "number, got '" << val << "'\n";
+                             "finite number, got '" << val << "'\n";
                 return 2;
             }
         } else if (arg == "--jobs") {
