@@ -30,8 +30,8 @@ namespace
 // the generator behind the cell ("barnes", "zipf-serve", ...; "" for
 // an ad-hoc factory). v8 adds the residency-feedback counters
 // "evictions_zero_hit" / "evicted_page_hits" (how wasted the evicted
-// relocations were). The gate reads v8 and v7 only, and compares the
-// feedback counters when both documents carry them.
+// relocations were). The gate reads v8 only and diffs every stats
+// counter exactly.
 constexpr const char *schemaName = "rnuma-sweep-results/v8";
 
 std::uint64_t

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -376,24 +377,52 @@ TEST(CompareGate, IdenticalResultsPass)
     EXPECT_NE(os.str().find("compare: PASS"), std::string::npos);
 }
 
-TEST(CompareGate, TicksDriftFailsExactly)
+TEST(CompareGate, CounterDriftFailsExactly)
 {
+    // Every numeric stats counter is gated exactly, refs and the
+    // feedback counters as much as ticks and events.
     ResultDoc base = smallDoc();
-    ResultDoc cur = base;
-    cur.figures[0].cells[3].ticks += 1;
+    for (const char *name :
+         {"ticks", "events", "refs", "evicted_page_hits"}) {
+        ResultDoc cur = base;
+        cur.figures[0].cells[3].counters.at(name) += 1;
+        std::ostringstream os;
+        EXPECT_EQ(compareResults(base, cur, CompareOptions{}, os), 1u)
+            << name;
+        EXPECT_NE(os.str().find(std::string(name) + " drifted"),
+                  std::string::npos)
+            << os.str();
+    }
+
+    // A counter present on only one side is a violation, whichever
+    // side lacks it.
+    ResultDoc fewer = base;
+    fewer.figures[0].cells[0].counters.erase("evicted_page_hits");
     std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, CompareOptions{}, os), 1u);
-    EXPECT_NE(os.str().find("ticks drifted"), std::string::npos);
+    EXPECT_EQ(compareResults(base, fewer, CompareOptions{}, os), 1u);
+    EXPECT_NE(os.str().find("evicted_page_hits missing from current"),
+              std::string::npos)
+        << os.str();
+    std::ostringstream os2;
+    EXPECT_EQ(compareResults(fewer, base, CompareOptions{}, os2), 1u);
+    EXPECT_NE(os2.str().find("evicted_page_hits missing from baseline"),
+              std::string::npos)
+        << os2.str();
 }
 
-TEST(CompareGate, EventsDriftFails)
+TEST(CompareGate, NonFiniteToleranceIsRefused)
 {
-    ResultDoc base = smallDoc();
-    ResultDoc cur = base;
-    cur.figures[0].cells[0].events += 5;
-    std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, CompareOptions{}, os), 1u);
-    EXPECT_NE(os.str().find("events drifted"), std::string::npos);
+    // A NaN limit never compares greater, so it would pass every
+    // wall-time regression; infinity would too.
+    ResultDoc doc = smallDoc();
+    for (double t : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+        std::ostringstream os;
+        EXPECT_THROW(compareResults(doc, doc, CompareOptions{t}, os),
+                     std::invalid_argument)
+            << t;
+    }
 }
 
 TEST(CompareGate, MissingCellAndFigureAreViolations)
@@ -409,6 +438,12 @@ TEST(CompareGate, MissingCellAndFigureAreViolations)
     std::ostringstream os2;
     EXPECT_EQ(compareResults(base, none, CompareOptions{}, os2), 1u);
     EXPECT_NE(os2.str().find("figure missing"), std::string::npos);
+
+    // The reverse is growth, not loss: a note, not a violation.
+    std::ostringstream os3;
+    EXPECT_EQ(compareResults(cur, base, CompareOptions{}, os3), 0u);
+    EXPECT_NE(os3.str().find("is new (not in baseline)"),
+              std::string::npos);
 }
 
 TEST(CompareGate, ScaleMismatchIsAViolation)
@@ -467,8 +502,7 @@ TEST(CompareGate, LoadResultsRoundTripsTheJsonSink)
          ++i) {
         const ResultCell &a = loaded.figures[0].cells[i];
         const ResultCell &b = direct.figures[0].cells[i];
-        EXPECT_EQ(a.ticks, b.ticks) << a.app << "/" << a.config;
-        EXPECT_EQ(a.events, b.events) << a.app << "/" << a.config;
+        EXPECT_EQ(a.counters, b.counters) << a.app << "/" << a.config;
     }
     std::ostringstream report;
     EXPECT_EQ(
@@ -501,7 +535,7 @@ TEST(CompareGate, ReadersRefuseIntraJobsOtherThanOne)
     };
     ResultDoc serial = loadResults(results("1"));
     ASSERT_EQ(serial.figures.size(), 1u);
-    EXPECT_EQ(serial.figures[0].cells[0].ticks, 42u);
+    EXPECT_EQ(serial.figures[0].cells[0].counters.at("ticks"), 42u);
     for (const char *bad : {"2", "0", "\"4\""}) {
         try {
             loadResults(results(bad));
@@ -512,54 +546,6 @@ TEST(CompareGate, ReadersRefuseIntraJobsOtherThanOne)
                 << e.what();
         }
     }
-
-    // Bench artifacts: same rule at document level.
-    BenchDoc doc;
-    doc.runs = 3;
-    std::ostringstream bench;
-    writeBench(bench, doc);
-    EXPECT_EQ(bench.str().find("intra_jobs"), std::string::npos);
-    auto benchDoc = [](const std::string &intra) {
-        return "{\"schema\": \"rnuma-bench/v1\", \"runs\": 3,"
-               " \"scale\": 0.1, \"jobs\": 1, \"intra_jobs\": " +
-            intra + ", \"figures\": []}";
-    };
-    EXPECT_EQ(loadBench(benchDoc("1")).runs, 3u);
-    EXPECT_THROW(loadBench(benchDoc("4")), std::runtime_error);
-}
-
-TEST(CompareGate, FeedbackCountersGateWhenBothSidesCarryThem)
-{
-    // v8 added the residency-feedback counters: a drift between two
-    // cells that both carry them is a violation, whatever the
-    // schemas; a v7 cell without them is simply not compared.
-    const char *v8 =
-        "{\"schema\": \"rnuma-sweep-results/v8\", \"figures\": ["
-        "{\"name\": \"small\", \"scale\": 0.05, \"jobs\": 1,"
-        " \"wall_ms\": 10.0, \"status\": 0, \"cells\": ["
-        "{\"app\": \"moldyn\", \"config\": \"rnuma\","
-        " \"protocol\": \"rnuma\", \"wall_ms\": 1.0,"
-        " \"stats\": {\"ticks\": 42, \"events\": 7,"
-        " \"evictions_zero_hit\": 3, \"evicted_page_hits\": 90}}]}]}";
-    ResultDoc base = loadResults(v8);
-
-    ResultDoc cur = base;
-    cur.figures[0].cells[0].counters["evictions_zero_hit"] = 5;
-    std::ostringstream os;
-    EXPECT_EQ(compareResults(base, cur, CompareOptions{-1}, os), 1u);
-    EXPECT_NE(os.str().find("evictions_zero_hit drifted"),
-              std::string::npos);
-
-    ResultDoc old = base;
-    old.schema = "rnuma-sweep-results/v7";
-    old.figures[0].cells[0].counters.erase("evictions_zero_hit");
-    old.figures[0].cells[0].counters.erase("evicted_page_hits");
-    std::ostringstream os2;
-    EXPECT_EQ(compareResults(old, cur, CompareOptions{-1}, os2), 0u);
-
-    old.figures[0].cells[0].counters["evictions_zero_hit"] = 3;
-    std::ostringstream os3;
-    EXPECT_EQ(compareResults(old, cur, CompareOptions{-1}, os3), 1u);
 }
 
 TEST(CompareGate, RejectsUnsupportedSchemaVersions)
@@ -576,10 +562,9 @@ TEST(CompareGate, RejectsUnsupportedSchemaVersions)
     const std::string cell =
         ids + "\"stats\": {\"ticks\": 42, \"events\": 7}";
 
-    // Only the current schema and the one before it load; anything
-    // else (older, newer, or not a number at all) throws and names
-    // the schema.
-    for (const char *v : {"v1", "v6", "vX", "v9"}) {
+    // Only the current schema loads; anything else (older, newer, or
+    // not a number at all) throws and names the schema.
+    for (const char *v : {"v1", "v6", "v7", "vX", "v9"}) {
         const std::string schema =
             std::string("rnuma-sweep-results/") + v;
         try {
@@ -592,28 +577,18 @@ TEST(CompareGate, RejectsUnsupportedSchemaVersions)
         }
     }
 
-    // A v7 baseline passes against a v8 current that carries the
-    // feedback counters v7 lacks.
-    ResultDoc v7 = loadResults(doc("rnuma-sweep-results/v7", cell));
-    ResultDoc v8 = loadResults(doc(
-        "rnuma-sweep-results/v8",
-        ids + "\"stats\": {\"ticks\": 42, \"events\": 7,"
-              " \"evictions_zero_hit\": 1, \"evicted_page_hits\": 2}"));
-    std::ostringstream os;
-    EXPECT_EQ(compareResults(v7, v8, CompareOptions{-1}, os), 0u)
-        << os.str();
-
-    // Against that v7 baseline, a changed protocol, network or
-    // workload id is a violation, not a note.
+    // A changed protocol, network or workload id is a violation, not
+    // a note.
+    ResultDoc v8 = loadResults(doc("rnuma-sweep-results/v8", cell));
     ResultDoc tampered = v8;
     ResultCell &c = tampered.figures[0].cells[0];
     c.protocol = "rnuma-t64";
     c.network = "mesh-2d";
     c.workload = "barnes";
-    std::ostringstream os2;
-    EXPECT_EQ(compareResults(v7, tampered, CompareOptions{-1}, os2),
+    std::ostringstream os;
+    EXPECT_EQ(compareResults(v8, tampered, CompareOptions{-1}, os),
               3u);
-    EXPECT_EQ(os2.str().find("note:"), std::string::npos) << os2.str();
+    EXPECT_EQ(os.str().find("note:"), std::string::npos) << os.str();
 
     // Ids load verbatim: a v8 cell whose network is spelled "Mesh"
     // is not the "mesh-2d" baseline's network.
@@ -626,15 +601,23 @@ TEST(CompareGate, RejectsUnsupportedSchemaVersions)
     ResultDoc spelled = loadResults(
         doc("rnuma-sweep-results/v8", mesh_ids + "\"Mesh\""));
     EXPECT_EQ(spelled.figures[0].cells[0].network, "Mesh");
-    std::ostringstream os3;
-    EXPECT_EQ(compareResults(mesh, spelled, CompareOptions{-1}, os3),
+    std::ostringstream os2;
+    EXPECT_EQ(compareResults(mesh, spelled, CompareOptions{-1}, os2),
               1u)
-        << os3.str();
+        << os2.str();
 
-    // A cell without stats.events is refused, not compared blind.
-    EXPECT_THROW(loadResults(doc("rnuma-sweep-results/v8",
-                                 "\"stats\": {\"ticks\": 42}")),
-                 std::runtime_error);
+    // A cell without stats.events is refused, not compared blind, and
+    // so is a counter the integer cast would truncate or wrap.
+    for (const char *stats :
+         {"{\"ticks\": 42}", "{\"ticks\": 42.5, \"events\": 7}",
+          "{\"ticks\": -1, \"events\": 7}",
+          "{\"ticks\": 1e30, \"events\": 7}"}) {
+        EXPECT_THROW(loadResults(doc("rnuma-sweep-results/v8",
+                                     std::string("\"stats\": ") +
+                                         stats)),
+                     std::runtime_error)
+            << stats;
+    }
 }
 
 TEST(CompareGate, RejectsForeignJson)

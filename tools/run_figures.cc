@@ -33,9 +33,11 @@
  *                        (isolation debugging; results are identical
  *                        either way)
  *   --compare FILE       diff results against a baseline JSON: exact
- *                        per-cell ticks/events, thresholded wall time
+ *                        per-cell stats counters, thresholded wall
+ *                        time
  *   --tolerance PCT      allowed wall-time growth for --compare
- *                        (default 25; negative = determinism only)
+ *                        (default 25; negative = determinism only;
+ *                        NaN and infinity exit 2)
  *   --current FILE       with --compare and no figures: diff FILE
  *                        against the baseline instead of running
  *   --quiet              suppress the per-figure human tables
@@ -289,9 +291,9 @@ main(int argc, char **argv)
             const char *val = next();
             char *end = nullptr;
             tolerance = std::strtod(val, &end);
-            if (end == val || *end != '\0') {
+            if (end == val || *end != '\0' || !std::isfinite(tolerance)) {
                 std::cerr << "rnuma_sweep: --tolerance wants a "
-                             "number (percent), got '" << val
+                             "finite number (percent), got '" << val
                           << "'\n";
                 return 2;
             }
