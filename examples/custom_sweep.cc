@@ -93,6 +93,6 @@ main(int argc, char **argv)
     run.jobs = runner.jobs();
     run.result = std::move(result);
     std::cout << "\nJSON:\n";
-    JsonSink().write(std::cout, {std::move(run)});
+    writeJson(std::cout, {std::move(run)});
     return 0;
 }

@@ -41,6 +41,18 @@ refuseIntraJobs(const JsonValue *v, const std::string &where)
                 "serial results)");
 }
 
+/** A figure's required numeric field @p key. */
+double
+figureNumber(const JsonValue &figure, const char *key,
+             const std::string &name)
+{
+    const JsonValue *v = figure.get(key);
+    if (!v || v->kind != JsonValue::Kind::Number)
+        throw std::runtime_error(name + ": " + key +
+                                 " is missing or not a number");
+    return v->number;
+}
+
 } // namespace
 
 const ResultCell *
@@ -78,9 +90,18 @@ loadResults(const std::string &json_text)
     for (const JsonValue &jf : figures->array) {
         ResultFigure f;
         f.name = stringOr(jf.get("name"), "?");
-        f.scale = numberOr(jf.get("scale"), 1.0);
-        f.jobs = static_cast<std::size_t>(
-            numberOr(jf.get("jobs"), 1));
+        // scale names the inputs the counters came from and jobs
+        // gates the wall-time check: a value the gate or the cast
+        // would misread is refused, not defaulted.
+        f.scale = figureNumber(jf, "scale", f.name);
+        if (!std::isfinite(f.scale) || f.scale <= 0)
+            throw std::runtime_error(f.name +
+                                     ": scale is not finite and > 0");
+        double jobs = figureNumber(jf, "jobs", f.name);
+        if (!(jobs >= 1 && jobs < 0x1p64) || jobs != std::floor(jobs))
+            throw std::runtime_error(f.name +
+                                     ": jobs is not an integer >= 1");
+        f.jobs = static_cast<std::size_t>(jobs);
         f.wallMs = numberOr(jf.get("wall_ms"), 0);
         const JsonValue *cells = jf.get("cells");
         if (cells && cells->isArray()) {

@@ -1333,8 +1333,7 @@ findFigure(const std::string &name)
 
 FigureRun
 runFigure(const FigureSpec &spec, const FigureOptions &opt,
-          std::size_t jobs, bool verify, bool cacheWorkloads,
-          WorkloadCache *sharedCache)
+          std::size_t jobs, bool verify, WorkloadCache *sharedCache)
 {
     FigureRun run;
     run.name = spec.name;
@@ -1343,7 +1342,6 @@ runFigure(const FigureSpec &spec, const FigureOptions &opt,
     run.scale = opt.scale;
 
     SweepRunner runner(jobs);
-    runner.cacheWorkloads(cacheWorkloads);
     runner.shareCache(sharedCache);
     run.jobs = runner.jobs();
     Sweep sweep = spec.build(opt);
@@ -1355,7 +1353,7 @@ runFigure(const FigureSpec &spec, const FigureOptions &opt,
     // A serial run *is* the reference; re-running it to compare
     // against itself would double the cost to prove nothing.
     if (verify && run.jobs > 1)
-        verifySerialIdentical(sweep, run.result, cacheWorkloads);
+        verifySerialIdentical(sweep, run.result);
     return run;
 }
 

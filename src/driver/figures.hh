@@ -99,14 +99,11 @@ const FigureSpec *findFigure(const std::string &name);
  * serially and asserts every cell's RunStats is bit-identical
  * (catching any cross-cell state leakage that threading would
  * expose); a serial run is itself the reference, so verify is a
- * no-op there. @p cacheWorkloads toggles the runner's
- * content-addressed workload cache (the CLI's --no-workload-cache
- * passes false); @p sharedCache optionally attaches a process-scope
+ * no-op there. @p sharedCache optionally attaches a process-scope
  * WorkloadCache so workloads generate once across figures.
  */
 FigureRun runFigure(const FigureSpec &spec, const FigureOptions &opt,
                     std::size_t jobs, bool verify,
-                    bool cacheWorkloads = true,
                     WorkloadCache *sharedCache = nullptr);
 
 /** Render @p run with its spec's renderer, recording the status. */

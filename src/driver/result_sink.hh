@@ -1,15 +1,12 @@
 /**
  * @file
- * Machine- and human-readable emitters for executed sweeps. A
- * FigureRun pairs a figure's identity with its SweepResult; the
- * sinks serialize lists of them. The JSON schema
- * ("rnuma-sweep-results/v4", documented in docs/PERFORMANCE.md) is
- * the stable artifact format the CI figure pipeline and the
- * perf-baseline gate consume, so changes to it must bump the schema
- * string (v2 added per-cell event counts/throughput and the
- * workload-cache counters, v3 the stable protocol ids, v4 the
- * per-figure "protocols" array; the gate still reads v1-v3
- * baselines).
+ * Machine-readable emitters for executed sweeps. A FigureRun pairs a
+ * figure's identity with its SweepResult; writeJson and writeCsv
+ * serialize lists of them. The JSON schema
+ * ("rnuma-sweep-results/v8", documented in docs/PERFORMANCE.md) is
+ * the artifact the CI figure pipeline and the compare gate consume,
+ * so changes to it must bump the schema string (result_sink.cc keeps
+ * the version history).
  */
 
 #ifndef RNUMA_DRIVER_RESULT_SINK_HH
@@ -51,38 +48,11 @@ const std::vector<StatField> &statFields();
  */
 std::vector<std::string> protocolsOf(const SweepResult &result);
 
-/** Abstract emitter over a batch of executed figures. */
-class ResultSink
-{
-  public:
-    virtual ~ResultSink() = default;
-    virtual void write(std::ostream &os,
-                       const std::vector<FigureRun> &runs) const = 0;
-};
+/** Write @p runs as one "rnuma-sweep-results/v8" JSON document. */
+void writeJson(std::ostream &os, const std::vector<FigureRun> &runs);
 
-/** The "rnuma-sweep-results/v4" JSON document. */
-class JsonSink : public ResultSink
-{
-  public:
-    void write(std::ostream &os,
-               const std::vector<FigureRun> &runs) const override;
-};
-
-/** One flat CSV row per cell, all figures concatenated. */
-class CsvSink : public ResultSink
-{
-  public:
-    void write(std::ostream &os,
-               const std::vector<FigureRun> &runs) const override;
-};
-
-/** Raw per-cell counter tables (debugging / quick inspection). */
-class TableSink : public ResultSink
-{
-  public:
-    void write(std::ostream &os,
-               const std::vector<FigureRun> &runs) const override;
-};
+/** Write @p runs as flat CSV: one row per cell, figures concatenated. */
+void writeCsv(std::ostream &os, const std::vector<FigureRun> &runs);
 
 } // namespace rnuma::driver
 

@@ -252,11 +252,9 @@ SweepRunner::run(const Sweep &sweep) const
 }
 
 void
-verifySerialIdentical(const Sweep &sweep, const SweepResult &result,
-                      bool cacheWorkloads)
+verifySerialIdentical(const Sweep &sweep, const SweepResult &result)
 {
-    SweepResult serial =
-        SweepRunner(1).cacheWorkloads(cacheWorkloads).run(sweep);
+    SweepResult serial = SweepRunner(1).run(sweep);
     RNUMA_ASSERT(serial.cells.size() == result.cells.size(),
                  "sweep '", sweep.name(), "': cell count changed");
     for (std::size_t i = 0; i < serial.cells.size(); ++i) {

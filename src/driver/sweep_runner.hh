@@ -13,8 +13,8 @@
  * immutable snapshot, and every cell sharing the key replays a
  * SnapshotWorkload view of it. Generators are deterministic, so the
  * per-cell RunStats is bit-identical with the cache on or off; the
- * opt-out (cacheWorkloads(false), the CLI's --no-workload-cache)
- * exists to restore full cell isolation when debugging.
+ * opt-out (cacheWorkloads(false)) restores full cell isolation, the
+ * reference the driver tests hold the cache to.
  */
 
 #ifndef RNUMA_DRIVER_SWEEP_RUNNER_HH
@@ -156,13 +156,10 @@ class SweepRunner
 /**
  * Re-run @p sweep serially and assert each cell's RunStats is
  * bit-identical to @p result (the `--verify` mode of the CLI; the
- * driver tests use it across job counts). @p cacheWorkloads selects
- * the reference run's workload-cache mode, so a cache-disabled sweep
- * is verified against a cache-disabled reference.
+ * driver tests use it across job counts).
  */
 void verifySerialIdentical(const Sweep &sweep,
-                           const SweepResult &result,
-                           bool cacheWorkloads = true);
+                           const SweepResult &result);
 
 } // namespace rnuma::driver
 

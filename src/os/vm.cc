@@ -17,17 +17,9 @@ VmManager::chargeMapFault(Tick now)
 }
 
 Tick
-VmManager::chargeAllocation(Tick now, std::size_t flushed_blocks)
+VmManager::chargePageOp(Tick now, std::size_t blocks)
 {
-    Tick cost = p.pageOpCost(flushed_blocks);
-    stats.osCycles += cost;
-    return now + cost;
-}
-
-Tick
-VmManager::chargeRelocation(Tick now, std::size_t moved_blocks)
-{
-    Tick cost = p.pageOpCost(moved_blocks);
+    Tick cost = p.pageOpCost(blocks);
     stats.osCycles += cost;
     return now + cost;
 }

@@ -32,20 +32,14 @@ class VmManager
     Tick chargeMapFault(Tick now);
 
     /**
-     * Charge an S-COMA page allocation, or a replacement when
-     * @p flushed_blocks > 0 blocks had to be flushed from the victim:
-     * soft trap + TLB shootdown + setup + per-block flush cost
-     * (Table 2: 3000-11500 cycles).
+     * Charge a page operation: an S-COMA page allocation, a
+     * replacement, or an R-NUMA relocation, which Section 4 says
+     * "uses similar mechanisms as page allocation/replacement and
+     * incurs the same overheads". Soft trap + TLB shootdown + setup
+     * + a per-block cost for the @p blocks flushed from a victim or
+     * moved into the new frame (Table 2: 3000-11500 cycles).
      */
-    Tick chargeAllocation(Tick now, std::size_t flushed_blocks);
-
-    /**
-     * Charge an R-NUMA relocation: same mechanism as allocation
-     * (soft trap, shootdown, per-block move), per Section 4 ("page
-     * relocation uses similar mechanisms as page
-     * allocation/replacement and incurs the same overheads").
-     */
-    Tick chargeRelocation(Tick now, std::size_t moved_blocks);
+    Tick chargePageOp(Tick now, std::size_t blocks);
 
     NodeId nodeId() const { return node; }
 

@@ -4,9 +4,7 @@
 
 #include "common/logging.hh"
 #include "core/analytic_model.hh"
-#include "rad/ccnuma_rad.hh"
 #include "rad/rnuma_rad.hh"
-#include "rad/scoma_rad.hh"
 
 namespace rnuma
 {
@@ -51,10 +49,11 @@ ProtocolRegistry::addBuiltins(ProtocolRegistry &reg)
     cc.displayName = "CC-NUMA";
     cc.description =
         "block cache only; remote data cached at 32 B granularity";
-    cc.makeRad = [](const Params &p, NodeId node, RadDeps deps) {
-        return std::unique_ptr<Rad>(
-            std::make_unique<CcNumaRad>(p, node, deps));
-    };
+    // CC-NUMA and S-COMA are the hybrid RAD with one structure
+    // switched off. Their makePolicy stays empty: a spec with a
+    // policy is a hybrid, and tooling that wraps policies rebuilds it
+    // through hybridSpec.
+    cc.makeRad = RNumaRad::ccNuma;
     reg.add(std::move(cc));
 
     ProtocolSpec sc;
@@ -62,10 +61,7 @@ ProtocolRegistry::addBuiltins(ProtocolRegistry &reg)
     sc.displayName = "S-COMA";
     sc.description =
         "page cache only; remote pages allocated in local memory";
-    sc.makeRad = [](const Params &p, NodeId node, RadDeps deps) {
-        return std::unique_ptr<Rad>(
-            std::make_unique<SComaRad>(p, node, deps));
-    };
+    sc.makeRad = RNumaRad::sComa;
     reg.add(std::move(sc));
 
     reg.add(hybridSpec(

@@ -8,7 +8,6 @@ namespace rnuma
 PageCache::PageCache(std::size_t frames, std::size_t blocks_per_page)
     : capacity(frames), blocksPerPage(blocks_per_page)
 {
-    RNUMA_ASSERT(capacity >= 1, "page cache needs at least one frame");
     RNUMA_ASSERT(blocksPerPage >= 1, "page needs at least one block");
     tags_.assign(capacity * blocksPerPage, FineTag::Invalid);
     valid_.assign(capacity, 0);

@@ -36,7 +36,8 @@ class PageCache
   public:
     /**
      * @param frames          page frames available (320 KB / 4 KB = 80
-     *                        in the base system)
+     *                        in the base system; 0 for CC-NUMA, whose
+     *                        RAD has no page cache)
      * @param blocks_per_page fine-grain tags per frame
      */
     PageCache(std::size_t frames, std::size_t blocks_per_page);

@@ -4,7 +4,9 @@
  * that snoops the memory bus and services references to remote pages
  * (Figure 1). The three systems differ only in their RAD: CC-NUMA
  * has a block cache, S-COMA a page cache with fine-grain tags, and
- * R-NUMA both plus the reactive per-page refetch counters.
+ * R-NUMA both plus the reactive per-page refetch counters. One
+ * concrete device, RNumaRad (rad/rnuma_rad.hh), builds all three:
+ * CC-NUMA and S-COMA are R-NUMA with one structure switched off.
  */
 
 #ifndef RNUMA_RAD_RAD_HH

@@ -1,35 +1,82 @@
 #include "rad/rnuma_rad.hh"
 
+#include "common/logging.hh"
+
 namespace rnuma
 {
 
 RNumaRad::RNumaRad(const Params &params, NodeId node, RadDeps deps,
+                   BlockCache blocks, std::size_t frames,
+                   PageMode first_touch,
                    std::unique_ptr<RelocationPolicy> policy)
-    : Rad(params, node, deps),
-      bc(params.rnumaBlockCacheSize, params, false),
-      pc(params.pageCacheFrames(), params.blocksPerPage()),
+    : Rad(params, node, deps), bc(std::move(blocks)),
+      pc(frames, params.blocksPerPage()), firstTouch(first_touch),
       policy_(std::move(policy))
 {
-    if (!policy_) {
-        policy_ = std::make_unique<StaticThresholdPolicy>(
-            params.relocationThreshold);
-    }
 }
 
-std::size_t
-RNumaRad::flushPage(Tick now, Addr victim_page)
+RNumaRad::RNumaRad(const Params &params, NodeId node, RadDeps deps,
+                   std::unique_ptr<RelocationPolicy> policy)
+    : RNumaRad(params, node, deps,
+               BlockCache(params.rnumaBlockCacheSize, params, false),
+               params.pageCacheFrames(), PageMode::CCNuma,
+               std::move(policy))
 {
-    std::size_t flushed = 0;
-    pc.forEachValid(victim_page,
-                    [&](std::size_t idx, FineTag tag) {
-        Addr block = victim_page * p.pageSize + idx * p.blockSize;
+    RNUMA_ASSERT(policy_, "the hybrid RAD needs a relocation policy");
+}
+
+std::unique_ptr<RNumaRad>
+RNumaRad::ccNuma(const Params &params, NodeId node, RadDeps deps)
+{
+    return std::unique_ptr<RNumaRad>(new RNumaRad(
+        params, node, deps,
+        BlockCache(params.blockCacheSize, params,
+                   params.infiniteBlockCache),
+        0, PageMode::CCNuma, nullptr));
+}
+
+std::unique_ptr<RNumaRad>
+RNumaRad::sComa(const Params &params, NodeId node, RadDeps deps)
+{
+    return std::unique_ptr<RNumaRad>(new RNumaRad(
+        params, node, deps,
+        BlockCache(params.blockSize * params.blockCacheAssoc, params,
+                   false),
+        params.pageCacheFrames(), PageMode::SComa, nullptr));
+}
+
+RNumaRad::Eviction
+RNumaRad::evictLrm(Tick now)
+{
+    Eviction ev{pc.lrmVictim(), 0, 0};
+    pc.forEachValid(ev.page, [&](std::size_t idx, FineTag tag) {
+        Addr block = ev.page * p.pageSize + idx * p.blockSize;
         d.l1.invalidateL1Block(block);
         d.proto.flushBlock(now, nodeId, block,
                            tag == FineTag::ReadWrite);
         d.stats.flushedBlocks++;
-        flushed++;
+        ev.flushed++;
     });
-    return flushed;
+    // Read the residency's hit count before the frame is recycled.
+    ev.hits = pc.hitsOf(ev.page);
+    pc.erase(ev.page);
+    d.pageTable.unmap(ev.page);
+    d.stats.scomaReplacements++;
+    return ev;
+}
+
+Tick
+RNumaRad::allocate(Tick now, Addr page)
+{
+    // Page fault: clean a victim if no frame is free, then initialize
+    // the page table, translation table, and tags.
+    std::size_t flushed = pc.full() ? evictLrm(now).flushed : 0;
+    Tick t = d.vm.chargePageOp(now, flushed);
+    d.stats.pageFaults++;
+    d.stats.scomaAllocations++;
+    pc.insert(page);
+    d.pageTable.set(page, PageMode::SComa);
+    return t;
 }
 
 Tick
@@ -39,23 +86,17 @@ RNumaRad::relocate(Tick now, Addr page)
 
     // Make room: replace the least-recently-missed page if the cache
     // is full. The evicted page reverts to CC-NUMA on its next touch
-    // (it becomes unmapped), and its counter restarts.
+    // (it becomes unmapped), and its counter restarts. Its hit count
+    // is the utility signal the policy learns from and the
+    // wasted-relocation observability counters record.
     Tick t = now;
     if (pc.full()) {
-        Addr victim = pc.lrmVictim();
-        std::size_t flushed = flushPage(t, victim);
-        // Read the residency's hit count before the frame is
-        // recycled: it is the utility signal the policy learns from
-        // and the wasted-relocation observability counters record.
-        std::uint64_t hits = pc.hitsOf(victim);
-        pc.erase(victim);
-        d.pageTable.unmap(victim);
-        policy_->onEvicted(victim, hits);
-        d.stats.scomaReplacements++;
-        d.stats.evictedPageHits += hits;
-        if (hits == 0)
+        Eviction ev = evictLrm(t);
+        policy_->onEvicted(ev.page, ev.hits);
+        d.stats.evictedPageHits += ev.hits;
+        if (ev.hits == 0)
             d.stats.evictionsZeroHit++;
-        t = d.vm.chargeAllocation(t, flushed);
+        t = d.vm.chargePageOp(t, ev.flushed);
     }
     pc.insert(page);
 
@@ -78,7 +119,7 @@ RNumaRad::relocate(Tick now, Addr page)
             moved++;
         }
     }
-    t = d.vm.chargeRelocation(t, moved);
+    t = d.vm.chargePageOp(t, moved);
     d.pageTable.set(page, PageMode::SComa);
     policy_->onRelocated(page);
     return t;
@@ -93,12 +134,14 @@ RNumaRad::blockPath(Tick now, Addr addr, bool write)
     CacheLine *line = bc.find(block);
     if (line && line->valid()) {
         if (!write || line->state == CacheState::Modified) {
+            // Block cache hit: SRAM access plus the bus transfer.
             bc.touch(line);
             d.stats.blockCacheHits++;
             return {now + p.sramAccess + p.busLatency,
                     ServiceKind::BlockCache,
                     write ? CacheState::Modified : CacheState::Shared};
         }
+        // Write to a read-only block: permission-only upgrade.
         FetchResult res = d.proto.fetch(now, nodeId, block,
                                         ReqType::Upgrade);
         d.stats.invalidationsSent +=
@@ -109,13 +152,21 @@ RNumaRad::blockPath(Tick now, Addr addr, bool write)
         return {res.done, ServiceKind::Remote, CacheState::Modified};
     }
 
+    // Block cache miss: allocate a frame, writing back a dirty victim
+    // (Figure 2b), then request the block from the home node.
     Cache::Victim victim;
     CacheLine *nl = bc.allocate(block, victim);
     if (victim.valid && victim.state == CacheState::Modified) {
+        // Inclusion holds for read-write blocks: purge L1 copies and
+        // voluntarily write the block back home, which records this
+        // node in the directory's prior-owner set.
         d.l1.invalidateL1Block(victim.addr);
         d.proto.writeback(now, nodeId, victim.addr);
         d.stats.writebacks++;
     }
+    // Read-only victims are dropped silently (non-notifying), so the
+    // directory keeps this node in the sharer set — the basis of
+    // read refetch detection.
 
     FetchResult res = d.proto.fetch(now, nodeId, block,
                                     write ? ReqType::GetX : ReqType::GetS);
@@ -132,7 +183,9 @@ RNumaRad::blockPath(Tick now, Addr addr, bool write)
     // The reactive mechanism: report capacity/conflict refetches to
     // the relocation policy; when it fires, the RAD interrupts and
     // the OS relocates the page into the page cache (Figure 4b).
-    if (res.kind == MissKind::Refetch && policy_->onRefetch(page)) {
+    // CC-NUMA has no policy and never relocates.
+    if (policy_ && res.kind == MissKind::Refetch &&
+        policy_->onRefetch(page)) {
         done = relocate(done, page);
     }
 
@@ -150,6 +203,7 @@ RNumaRad::pagePath(Tick now, Addr addr, bool write)
 
     if (tag == FineTag::ReadWrite ||
         (tag == FineTag::ReadOnly && !write)) {
+        // Fine-grain tag hit: serviced by local memory.
         Tick done = d.memory.access(now + p.sramAccess, addr);
         d.stats.pageCacheHits++;
         pc.recordHit(page);
@@ -158,6 +212,7 @@ RNumaRad::pagePath(Tick now, Addr addr, bool write)
     }
 
     if (tag == FineTag::ReadOnly) {
+        // Write to a read-only block: permission-only upgrade.
         FetchResult res = d.proto.fetch(now, nodeId, block,
                                         ReqType::Upgrade);
         d.stats.invalidationsSent +=
@@ -168,6 +223,8 @@ RNumaRad::pagePath(Tick now, Addr addr, bool write)
         return {res.done, ServiceKind::Remote, CacheState::Modified};
     }
 
+    // Invalid tag: the RAD inhibits memory, translates the local
+    // physical address to the global one, and fetches from the home.
     FetchResult res = d.proto.fetch(now, nodeId, block,
                                     write ? ReqType::GetX : ReqType::GetS);
     pc.setTag(page, idx,
@@ -187,17 +244,23 @@ RNumaRad::pagePath(Tick now, Addr addr, bool write)
 RadAccess
 RNumaRad::access(Tick now, Addr addr, bool write, bool upgrade)
 {
-    (void)upgrade;
+    (void)upgrade; // permission requests resolve via the same paths
     Addr page = pageOf(addr);
     PageMode mode = d.pageTable.modeOf(page);
 
     Tick t = now;
     if (mode == PageMode::Unmapped) {
-        // First touch: the OS initially maps the page CC-NUMA
-        // (Figure 4b).
-        t = d.vm.chargeMapFault(t);
-        d.pageTable.set(page, PageMode::CCNuma);
-        mode = PageMode::CCNuma;
+        // First touch by any processor on this node. S-COMA faults
+        // the page into the page cache (Figure 3b); CC-NUMA and the
+        // hybrid take a soft fault mapping it to its CC-NUMA global
+        // physical address (Figures 2b, 4b).
+        mode = firstTouch;
+        if (mode == PageMode::SComa) {
+            t = allocate(t, page);
+        } else {
+            t = d.vm.chargeMapFault(t);
+            d.pageTable.set(page, PageMode::CCNuma);
+        }
     }
 
     if (mode == PageMode::SComa)
@@ -238,8 +301,9 @@ RNumaRad::l1Writeback(Tick now, Addr block)
 {
     block = blockOf(block);
     Addr page = pageOf(block);
-    if (d.pageTable.modeOf(page) == PageMode::SComa &&
-        pc.contains(page)) {
+    if (pc.contains(page)) {
+        // The page cache is main memory; the dirty line lands in the
+        // frame and the tag stays/becomes read-write.
         pc.setTag(page, blockIndex(block), FineTag::ReadWrite);
         return;
     }
@@ -249,6 +313,8 @@ RNumaRad::l1Writeback(Tick now, Addr block)
         bc.touch(line);
         return;
     }
+    // Inclusion should make this unreachable, but stay safe: send the
+    // dirty data home as a voluntary writeback.
     d.proto.writeback(now, nodeId, block);
     d.stats.writebacks++;
 }

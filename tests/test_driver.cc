@@ -149,7 +149,7 @@ TEST(JsonRoundTrip, SmallSweepSurvivesWriteAndParse)
     FigureRun run = wrap(s, SweepRunner(2).run(s));
 
     std::ostringstream os;
-    JsonSink().write(os, {run});
+    writeJson(os, {run});
     JsonValue doc = parseJson(os.str());
 
     ASSERT_TRUE(doc.isObject());
@@ -225,8 +225,8 @@ TEST(WorkloadCache, OptOutIsBitIdenticalAndGeneratesPerCell)
             << cached.cells[i].app << "/"
             << cached.cells[i].config;
     }
-    // The cache-off reference path of verify agrees too.
-    EXPECT_NO_THROW(verifySerialIdentical(s, isolated, false));
+    // verify's cached reference agrees with the isolated run too.
+    EXPECT_NO_THROW(verifySerialIdentical(s, isolated));
 }
 
 TEST(WorkloadCache, UnkeyedCellsBypassTheCache)
@@ -486,12 +486,12 @@ TEST(CompareGate, WallTimeThresholdedNotExact)
               std::string::npos);
 }
 
-TEST(CompareGate, LoadResultsRoundTripsTheJsonSink)
+TEST(CompareGate, LoadResultsRoundTripsWriteJson)
 {
     Sweep s = smallSweep();
     FigureRun run = wrap(s, SweepRunner(1).run(s));
     std::ostringstream os;
-    JsonSink().write(os, {run});
+    writeJson(os, {run});
     ResultDoc loaded = loadResults(os.str());
     EXPECT_EQ(loaded.schema, "rnuma-sweep-results/v8");
     ResultDoc direct = resultsOf({run});
@@ -517,8 +517,8 @@ TEST(CompareGate, ReadersRefuseIntraJobsOtherThanOne)
     Sweep s = smallSweep();
     FigureRun run = wrap(s, SweepRunner(1).run(s));
     std::ostringstream json, csv;
-    JsonSink().write(json, {run});
-    CsvSink().write(csv, {run});
+    writeJson(json, {run});
+    writeCsv(csv, {run});
     EXPECT_EQ(json.str().find("intra_jobs"), std::string::npos);
     EXPECT_EQ(csv.str().find("intra_jobs"), std::string::npos);
 
@@ -550,9 +550,11 @@ TEST(CompareGate, ReadersRefuseIntraJobsOtherThanOne)
 
 TEST(CompareGate, RejectsUnsupportedSchemaVersions)
 {
-    auto doc = [](const std::string &schema, const std::string &cell) {
+    auto doc = [](const std::string &schema, const std::string &cell,
+                  const std::string &run = "\"scale\": 0.05,"
+                                           " \"jobs\": 1") {
         return "{\"schema\": \"" + schema + "\", \"figures\": ["
-               "{\"name\": \"fig8\", \"scale\": 0.05, \"jobs\": 1,"
+               "{\"name\": \"fig8\", " + run + ","
                " \"cells\": [{\"app\": \"moldyn\","
                " \"config\": \"t16\", " + cell + "}]}]}";
     };
@@ -618,6 +620,28 @@ TEST(CompareGate, RejectsUnsupportedSchemaVersions)
                      std::runtime_error)
             << stats;
     }
+
+    // jobs must be an integer >= 1 (it decides whether wall times
+    // are comparable), and scale present, finite and positive.
+    for (const char *run :
+         {"\"scale\": 0.05, \"jobs\": -1",
+          "\"scale\": 0.05, \"jobs\": 0",
+          "\"scale\": 0.05, \"jobs\": 2.5",
+          "\"scale\": 0.05, \"jobs\": 1e30",
+          "\"scale\": 0.05, \"jobs\": \"4\"",
+          "\"scale\": 0.05", "\"jobs\": 1",
+          "\"scale\": 0, \"jobs\": 1",
+          "\"scale\": -0.1, \"jobs\": 1",
+          "\"scale\": \"0.05\", \"jobs\": 1"}) {
+        try {
+            loadResults(doc("rnuma-sweep-results/v8", cell, run));
+            ADD_FAILURE() << run << " accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("fig8"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(CompareGate, RejectsForeignJson)
@@ -633,7 +657,7 @@ TEST(JsonRoundTrip, CsvHasHeaderPlusOneRowPerCell)
     Sweep s = smallSweep();
     FigureRun run = wrap(s, SweepRunner(1).run(s));
     std::ostringstream os;
-    CsvSink().write(os, {run});
+    writeCsv(os, {run});
     std::istringstream is(os.str());
     std::string line;
     std::size_t lines = 0;

@@ -14,7 +14,7 @@
 #include "core/analytic_model.hh"
 #include "proto/directory.hh"
 #include "proto/registry.hh"
-#include "rad/ccnuma_rad.hh"
+#include "rad/rnuma_rad.hh"
 #include "sim/machine.hh"
 #include "sim/runner.hh"
 #include "workload/micro.hh"
@@ -219,7 +219,7 @@ writeAfterWideSharing(const std::string &dir,
         const CacheLine *l1 = m.node(n).l1(0).find(block);
         EXPECT_FALSE(l1 && l1->valid()) << "node " << n << " L1";
         const auto &rad =
-            dynamic_cast<const CcNumaRad &>(m.node(n).rad());
+            dynamic_cast<const RNumaRad &>(m.node(n).rad());
         const CacheLine *bc = rad.blockCache().find(block);
         EXPECT_FALSE(bc && bc->valid()) << "node " << n << " RAD";
     }

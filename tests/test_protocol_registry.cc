@@ -18,6 +18,7 @@
 
 #include "core/analytic_model.hh"
 #include "proto/registry.hh"
+#include "rad/rnuma_rad.hh"
 #include "sim/machine.hh"
 #include "sim/runner.hh"
 #include "workload/micro.hh"
@@ -99,6 +100,38 @@ TEST(ProtocolRegistry, NameToSpecToRadRoundTrip)
         EXPECT_EQ(m.protocolId(), name);
         EXPECT_EQ(by_name, m.run()) << name;
         EXPECT_GT(by_name.refs, 0u);
+    }
+}
+
+TEST(ProtocolRegistry, PaperSystemsAreConfigurationsOfOneRad)
+{
+    // CC-NUMA and S-COMA are the hybrid RAD with one structure
+    // switched off (Section 3). On a reuse workload CC-NUMA never
+    // touches a page cache, S-COMA never fills its block cache, and
+    // only R-NUMA relocates.
+    Params p = test::smallParams();
+    for (const std::string name : {"ccnuma", "scoma", "rnuma"}) {
+        auto wl = reuseWorkload(p);
+        Machine m(p, protocolSpec(name), *wl);
+        RunStats s = m.run();
+        std::size_t blocks = 0, pages = 0;
+        for (NodeId n = 0; n < p.numNodes; ++n) {
+            const auto &rad =
+                dynamic_cast<const RNumaRad &>(m.node(n).rad());
+            blocks += rad.blockCache().validCount();
+            pages += rad.pageCache().used();
+            EXPECT_EQ(rad.policy() != nullptr, name == "rnuma") << name;
+            // CC-NUMA allocates no page-cache frames at all.
+            EXPECT_EQ(rad.pageCache().frames() == 0, name == "ccnuma")
+                << name;
+        }
+        EXPECT_EQ(blocks > 0, name != "scoma") << name;
+        EXPECT_EQ(pages > 0, name != "ccnuma") << name;
+        EXPECT_EQ(s.relocations > 0, name == "rnuma") << name;
+        // A policy would make perfbench's tracer rebuild the spec as
+        // a hybrid; the two fixed configurations carry none.
+        EXPECT_EQ(bool(protocolSpec(name).makePolicy), name == "rnuma")
+            << name;
     }
 }
 

@@ -20,26 +20,19 @@ TEST(Vm, MapFaultChargesSoftTrap)
 
 TEST(Vm, AllocationCostScalesWithFlushedBlocks)
 {
-    Params p = Params::base();
-    RunStats s;
-    VmManager vm(p, 0, s);
-    Tick empty = vm.chargeAllocation(0, 0);
-    Tick full = vm.chargeAllocation(0, p.blocksPerPage());
-    EXPECT_EQ(empty, p.pageOpCost(0));
-    EXPECT_EQ(full, p.pageOpCost(p.blocksPerPage()));
-    EXPECT_GT(full, empty);
-    EXPECT_EQ(s.osCycles, empty + full);
-}
-
-TEST(Vm, RelocationUsesSameMechanismAsAllocation)
-{
-    // "Page relocation uses similar mechanisms as page
+    // One charge covers allocation, replacement and relocation: "page
+    // relocation uses similar mechanisms as page
     // allocation/replacement and incurs the same overheads"
     // (Section 4).
     Params p = Params::base();
     RunStats s;
     VmManager vm(p, 2, s);
-    EXPECT_EQ(vm.chargeRelocation(0, 10), vm.chargeAllocation(0, 10));
+    Tick empty = vm.chargePageOp(0, 0);
+    Tick full = vm.chargePageOp(0, p.blocksPerPage());
+    EXPECT_EQ(empty, p.pageOpCost(0));
+    EXPECT_EQ(full, p.pageOpCost(p.blocksPerPage()));
+    EXPECT_GT(full, empty);
+    EXPECT_EQ(s.osCycles, empty + full);
     EXPECT_EQ(vm.nodeId(), 2u);
 }
 
@@ -51,8 +44,8 @@ TEST(Vm, SoftSystemCostsMore)
     RunStats s1, s2;
     VmManager base(base_params, 0, s1);
     VmManager soft(soft_params, 0, s2);
-    EXPECT_GT(soft.chargeAllocation(0, 16),
-              base.chargeAllocation(0, 16));
+    EXPECT_GT(soft.chargePageOp(0, 16),
+              base.chargePageOp(0, 16));
 }
 
 } // namespace rnuma

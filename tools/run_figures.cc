@@ -29,9 +29,6 @@
  *   --csv-out FILE       write results as flat CSV
  *   --verify             re-run each sweep serially and assert
  *                        bit-identical RunStats
- *   --no-workload-cache  generate every cell's workload independently
- *                        (isolation debugging; results are identical
- *                        either way)
  *   --compare FILE       diff results against a baseline JSON: exact
  *                        per-cell stats counters, thresholded wall
  *                        time
@@ -95,8 +92,6 @@ usage(std::ostream &os, int status)
           "  --csv-out FILE       write flat CSV\n"
           "  --verify             assert serial/parallel RunStats "
           "are bit-identical\n"
-          "  --no-workload-cache  disable the content-addressed "
-          "workload cache\n"
           "  --compare FILE       diff results against a baseline "
           "JSON (exit 4 on drift)\n"
           "  --tolerance PCT      wall-time tolerance for --compare "
@@ -163,7 +158,7 @@ emitJson(const std::string &path,
          const std::vector<FigureRun> &runs)
 {
     std::ostringstream buf;
-    JsonSink().write(buf, runs);
+    writeJson(buf, runs);
     std::string text = buf.str();
     try {
         JsonValue doc = parseJson(text);
@@ -219,7 +214,6 @@ main(int argc, char **argv)
     double tolerance = 25.0;
     bool verify = false;
     bool quiet = false;
-    bool cache_workloads = true;
     std::vector<std::string> names;
 
     for (int i = 1; i < argc; ++i) {
@@ -308,8 +302,6 @@ main(int argc, char **argv)
             current_path = next();
         else if (arg == "--verify")
             verify = true;
-        else if (arg == "--no-workload-cache")
-            cache_workloads = false;
         else if (arg == "--quiet")
             quiet = true;
         else if (!arg.empty() && arg[0] == '-')
@@ -358,8 +350,7 @@ main(int argc, char **argv)
     runs.reserve(specs.size());
     for (const FigureSpec *spec : specs) {
         FigureRun run =
-            runFigure(*spec, opt, jobs, verify, cache_workloads,
-                      cache_workloads ? &process_cache : nullptr);
+            runFigure(*spec, opt, jobs, verify, &process_cache);
         std::ostringstream table;
         int rc = renderFigure(*spec, run, table);
         if (!quiet) {
@@ -384,7 +375,7 @@ main(int argc, char **argv)
         runs.push_back(std::move(run));
     }
 
-    if (!runs.empty() && cache_workloads) {
+    if (!runs.empty()) {
         std::cout << "workload cache: "
                   << process_cache.generated()
                   << " workloads generated, "
@@ -402,7 +393,7 @@ main(int argc, char **argv)
                       << "\n";
             status = status > 1 ? status : 1;
         } else {
-            CsvSink().write(out, runs);
+            writeCsv(out, runs);
             std::cout << "wrote " << csv_out << "\n";
         }
     }
