@@ -15,7 +15,6 @@
 #include "common/rng.hh"
 #include "driver/figures.hh"
 #include "driver/sweep_runner.hh"
-#include "heap_event_queue.hh"
 #include "mem/cache.hh"
 #include "net/network.hh"
 #include "proto/protocol.hh"
@@ -31,9 +30,8 @@ using namespace rnuma;
 
 /**
  * Simulator-shaped event deltas, precomputed so the benchmark loop
- * measures the queues, not the RNG: mostly think-time/bus-scale
- * steps, some fill/fetch latencies, occasional page-op jumps that
- * overflow the calendar window.
+ * measures the queue, not the RNG: mostly think-time/bus-scale
+ * steps, some fill/fetch latencies, occasional page-op jumps.
  */
 const std::vector<Tick> &
 eventDeltas()
@@ -59,16 +57,12 @@ eventDeltas()
  * The Machine::run hot loop reduced to its scheduler interactions:
  * one live event per CPU of the paper machine; each iteration peeks,
  * pops, and reschedules the popped CPU at a simulator-shaped delta.
- * Instantiated for both queue implementations so the indexed
- * calendar's speedup over the std::priority_queue baseline is a
- * tracked number (the PR gate's event-throughput claim).
  */
-template <typename Queue>
 void
-schedulerPattern(benchmark::State &state)
+BM_EventQueue(benchmark::State &state)
 {
     const std::vector<Tick> &deltas = eventDeltas();
-    Queue q;
+    EventQueue q;
     for (std::uint32_t c = 0; c < 32; ++c)
         q.schedule(0, c);
     std::size_t i = 0;
@@ -81,20 +75,7 @@ schedulerPattern(benchmark::State &state)
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()));
 }
-
-void
-BM_EventQueueHeap(benchmark::State &state)
-{
-    schedulerPattern<test::HeapEventQueue>(state);
-}
-BENCHMARK(BM_EventQueueHeap);
-
-void
-BM_EventQueueIndexed(benchmark::State &state)
-{
-    schedulerPattern<EventQueue>(state);
-}
-BENCHMARK(BM_EventQueueIndexed);
+BENCHMARK(BM_EventQueue);
 
 void
 BM_CacheLookup(benchmark::State &state)

@@ -11,13 +11,6 @@ namespace rnuma::driver
 namespace
 {
 
-double
-numberOr(const JsonValue *v, double fallback)
-{
-    return v && v->kind == JsonValue::Kind::Number ? v->number
-                                                   : fallback;
-}
-
 std::string
 stringOr(const JsonValue *v, const std::string &fallback)
 {
@@ -41,16 +34,31 @@ refuseIntraJobs(const JsonValue *v, const std::string &where)
                 "serial results)");
 }
 
-/** A figure's required numeric field @p key. */
+/** The required numeric field @p key of a figure or cell. */
 double
-figureNumber(const JsonValue &figure, const char *key,
-             const std::string &name)
+requiredNumber(const JsonValue &obj, const char *key,
+               const std::string &where)
 {
-    const JsonValue *v = figure.get(key);
+    const JsonValue *v = obj.get(key);
     if (!v || v->kind != JsonValue::Kind::Number)
-        throw std::runtime_error(name + ": " + key +
+        throw std::runtime_error(where + ": " + key +
                                  " is missing or not a number");
     return v->number;
+}
+
+/**
+ * A required wall time: a missing one read as 0 would pass any
+ * wall-time tolerance, so it is refused like a negative or
+ * non-finite one.
+ */
+double
+wallMs(const JsonValue &obj, const std::string &where)
+{
+    double ms = requiredNumber(obj, "wall_ms", where);
+    if (!std::isfinite(ms) || ms < 0)
+        throw std::runtime_error(where +
+                                 ": wall_ms is not finite and >= 0");
+    return ms;
 }
 
 } // namespace
@@ -90,19 +98,20 @@ loadResults(const std::string &json_text)
     for (const JsonValue &jf : figures->array) {
         ResultFigure f;
         f.name = stringOr(jf.get("name"), "?");
-        // scale names the inputs the counters came from and jobs
-        // gates the wall-time check: a value the gate or the cast
-        // would misread is refused, not defaulted.
-        f.scale = figureNumber(jf, "scale", f.name);
+        // scale names the inputs the counters came from, jobs gates
+        // the wall-time check and wall_ms is what it checks: a value
+        // the gate or the cast would misread is refused, not
+        // defaulted.
+        f.scale = requiredNumber(jf, "scale", f.name);
         if (!std::isfinite(f.scale) || f.scale <= 0)
             throw std::runtime_error(f.name +
                                      ": scale is not finite and > 0");
-        double jobs = figureNumber(jf, "jobs", f.name);
+        double jobs = requiredNumber(jf, "jobs", f.name);
         if (!(jobs >= 1 && jobs < 0x1p64) || jobs != std::floor(jobs))
             throw std::runtime_error(f.name +
                                      ": jobs is not an integer >= 1");
         f.jobs = static_cast<std::size_t>(jobs);
-        f.wallMs = numberOr(jf.get("wall_ms"), 0);
+        f.wallMs = wallMs(jf, f.name);
         const JsonValue *cells = jf.get("cells");
         if (cells && cells->isArray()) {
             for (const JsonValue &jc : cells->array) {
@@ -117,7 +126,7 @@ loadResults(const std::string &json_text)
                     stringOr(jc.get("directory"), c.directory);
                 c.workload = stringOr(jc.get("workload"), c.workload);
                 refuseIntraJobs(jc.get("intra_jobs"), where);
-                c.wallMs = numberOr(jc.get("wall_ms"), 0);
+                c.wallMs = wallMs(jc, where);
                 const JsonValue *stats = jc.get("stats");
                 const JsonValue *ev = stats ? stats->get("events")
                                             : nullptr;

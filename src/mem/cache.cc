@@ -40,46 +40,6 @@ Cache::Cache(std::size_t size_bytes, std::size_t block_bytes,
     lines.resize(sets * assoc);
 }
 
-std::size_t
-Cache::setIndex(Addr a) const
-{
-    const Addr block = a >> blockShift;
-    if (setsArePow2)
-        return static_cast<std::size_t>(block) & setMask;
-    return static_cast<std::size_t>(block % sets);
-}
-
-CacheLine *
-Cache::find(Addr a)
-{
-    a = blockAlign(a);
-    if (unbounded) {
-        auto it = map.find(a);
-        return it == map.end() ? nullptr : &it->second;
-    }
-    std::size_t base = setIndex(a) * assoc;
-    for (std::size_t w = 0; w < assoc; ++w) {
-        CacheLine &line = lines[base + w];
-        // Tag compare first: it almost always fails, and is cheaper
-        // than the state load on lines that do not match.
-        if (line.addr == a && line.valid())
-            return &line;
-    }
-    return nullptr;
-}
-
-const CacheLine *
-Cache::find(Addr a) const
-{
-    return const_cast<Cache *>(this)->find(a);
-}
-
-void
-Cache::touch(CacheLine *line)
-{
-    line->lru = ++lruClock;
-}
-
 CacheLine *
 Cache::allocate(Addr a, Victim &victim)
 {

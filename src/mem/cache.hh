@@ -143,6 +143,50 @@ class Cache
     std::size_t setIndex(Addr a) const;
 };
 
+// The L1 probe runs for every simulated reference, so the lookup
+// path is defined here for the compiler to inline into Node::tryHit
+// and Machine::step.
+
+inline std::size_t
+Cache::setIndex(Addr a) const
+{
+    const Addr block = a >> blockShift;
+    if (setsArePow2)
+        return static_cast<std::size_t>(block) & setMask;
+    return static_cast<std::size_t>(block % sets);
+}
+
+inline CacheLine *
+Cache::find(Addr a)
+{
+    a = blockAlign(a);
+    if (unbounded) {
+        auto it = map.find(a);
+        return it == map.end() ? nullptr : &it->second;
+    }
+    std::size_t base = setIndex(a) * assoc;
+    for (std::size_t w = 0; w < assoc; ++w) {
+        CacheLine &line = lines[base + w];
+        // Tag compare first: it almost always fails, and is cheaper
+        // than the state load on lines that do not match.
+        if (line.addr == a && line.valid())
+            return &line;
+    }
+    return nullptr;
+}
+
+inline const CacheLine *
+Cache::find(Addr a) const
+{
+    return const_cast<Cache *>(this)->find(a);
+}
+
+inline void
+Cache::touch(CacheLine *line)
+{
+    line->lru = ++lruClock;
+}
+
 } // namespace rnuma
 
 #endif // RNUMA_MEM_CACHE_HH

@@ -76,7 +76,7 @@ class NetworkModel
     /**
      * Mean contention-free latency over all ordered pairs of
      * distinct nodes, rounded to the nearest tick: the scalar the
-     * analytic model and calendar sizing use where the old code used
+     * analytic model uses where the old code used
      * Params::netLatency. The constant model overrides this to
      * return exactly that parameter.
      */

@@ -5,33 +5,10 @@
 namespace rnuma
 {
 
-namespace
-{
-
-/**
- * The calendar span for this run: the workload's largest think time
- * plus the longest common block-level service chain (an uncontended
- * remote fetch and a barrier release). Page operations and heavy
- * contention exceed it by design and overflow into the far heap.
- */
-std::size_t
-calendarSpanFor(const Params &p, const Workload &wl, Tick mean_wire)
-{
-    // The wire term comes from the network model's mean pairwise
-    // latency, so topology machines size the calendar for their
-    // actual service chains (equals netLatency for "constant").
-    return EventQueue::autoWindow(wl.maxThink() +
-                                  p.remoteFetch(mean_wire) +
-                                  p.barrierCost);
-}
-
-} // namespace
-
 Machine::Machine(const Params &params, const ProtocolSpec &spec,
                  Workload &wl_)
     : p(params), protocolId_(spec.id), wl(wl_),
-      cpuMap{params.cpusPerNode}, net_(makeNetwork(params)),
-      eq_(calendarSpanFor(params, wl_, net_->meanLatency()))
+      cpuMap{params.cpusPerNode}, net_(makeNetwork(params))
 {
     p.validate();
     RNUMA_ASSERT(spec.valid(), "protocol spec '", spec.id,

@@ -69,21 +69,6 @@ Node::fillL1(Tick now, std::size_t cpu, Addr block, CacheState st)
     }
 }
 
-bool
-Node::tryHit(std::size_t cpu, Addr addr, bool write)
-{
-    Addr block = blockOf(addr);
-    Cache &l1 = l1s[cpu];
-    CacheLine *line = l1.find(block);
-    if (!line || !line->valid())
-        return false;
-    if (write && line->state != CacheState::Modified)
-        return false;
-    l1.touch(line);
-    stats.l1Hits++;
-    return true;
-}
-
 Tick
 Node::access(Tick now, std::size_t cpu, Addr addr, bool write,
              bool is_home)

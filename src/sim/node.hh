@@ -110,6 +110,22 @@ class Node : public L1Snooper
     bool nodeHasWritePermission(Addr block, bool is_home) const;
 };
 
+// Runs for every simulated reference: inline into Machine::step.
+inline bool
+Node::tryHit(std::size_t cpu, Addr addr, bool write)
+{
+    Addr block = blockOf(addr);
+    Cache &l1 = l1s[cpu];
+    CacheLine *line = l1.find(block);
+    if (!line || !line->valid())
+        return false;
+    if (write && line->state != CacheState::Modified)
+        return false;
+    l1.touch(line);
+    stats.l1Hits++;
+    return true;
+}
+
 } // namespace rnuma
 
 #endif // RNUMA_SIM_NODE_HH

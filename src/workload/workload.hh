@@ -76,11 +76,11 @@ class Workload
     virtual const std::string &name() const = 0;
 
     /**
-     * Largest think time in any stream, in ticks. The machine sizes
-     * its event calendar from this span (see EventQueue::autoWindow);
-     * 0 — the default for sources that cannot know — selects the
-     * minimum window, which is always correct, only slower when the
-     * real deltas are systematically larger.
+     * Retired probe: largest think time in any stream, in ticks (0
+     * for sources that cannot know). Nothing in src/ schedules by it
+     * any more. It stays declared only because perfbench/trace.hh
+     * overrides it and the RNUMAST1 trace header records it; it goes
+     * with that override at the next change to perfbench/.
      */
     virtual Tick maxThink() const { return 0; }
 };

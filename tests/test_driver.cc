@@ -528,8 +528,9 @@ TEST(CompareGate, ReadersRefuseIntraJobsOtherThanOne)
     auto results = [](const std::string &intra) {
         return "{\"schema\": \"rnuma-sweep-results/v8\","
                " \"figures\": [{\"name\": \"small\","
-               " \"scale\": 0.05, \"jobs\": 1, \"cells\": ["
-               "{\"app\": \"moldyn\", \"config\": \"ccnuma\","
+               " \"scale\": 0.05, \"jobs\": 1, \"wall_ms\": 9,"
+               " \"cells\": [{\"app\": \"moldyn\","
+               " \"config\": \"ccnuma\", \"wall_ms\": 3,"
                " \"intra_jobs\": " + intra + ","
                " \"stats\": {\"ticks\": 42, \"events\": 7}}]}]}";
     };
@@ -552,7 +553,8 @@ TEST(CompareGate, RejectsUnsupportedSchemaVersions)
 {
     auto doc = [](const std::string &schema, const std::string &cell,
                   const std::string &run = "\"scale\": 0.05,"
-                                           " \"jobs\": 1") {
+                                           " \"jobs\": 1,"
+                                           " \"wall_ms\": 9") {
         return "{\"schema\": \"" + schema + "\", \"figures\": ["
                "{\"name\": \"fig8\", " + run + ","
                " \"cells\": [{\"app\": \"moldyn\","
@@ -560,7 +562,8 @@ TEST(CompareGate, RejectsUnsupportedSchemaVersions)
     };
     const std::string ids =
         "\"protocol\": \"rnuma-t16\", \"network\": \"constant\","
-        " \"directory\": \"full-map\", \"workload\": \"moldyn\", ";
+        " \"directory\": \"full-map\", \"workload\": \"moldyn\","
+        " \"wall_ms\": 3, ";
     const std::string cell =
         ids + "\"stats\": {\"ticks\": 42, \"events\": 7}";
 
@@ -596,8 +599,8 @@ TEST(CompareGate, RejectsUnsupportedSchemaVersions)
     // is not the "mesh-2d" baseline's network.
     const std::string mesh_ids =
         "\"protocol\": \"rnuma-t16\", \"directory\": \"full-map\","
-        " \"workload\": \"moldyn\", \"stats\": {\"ticks\": 42,"
-        " \"events\": 7}, \"network\": ";
+        " \"workload\": \"moldyn\", \"wall_ms\": 3,"
+        " \"stats\": {\"ticks\": 42, \"events\": 7}, \"network\": ";
     ResultDoc mesh = loadResults(
         doc("rnuma-sweep-results/v8", mesh_ids + "\"mesh-2d\""));
     ResultDoc spelled = loadResults(
@@ -615,14 +618,32 @@ TEST(CompareGate, RejectsUnsupportedSchemaVersions)
           "{\"ticks\": -1, \"events\": 7}",
           "{\"ticks\": 1e30, \"events\": 7}"}) {
         EXPECT_THROW(loadResults(doc("rnuma-sweep-results/v8",
-                                     std::string("\"stats\": ") +
-                                         stats)),
+                                     "\"wall_ms\": 3, \"stats\": " +
+                                         std::string(stats))),
                      std::runtime_error)
             << stats;
     }
 
+    // A cell's wall_ms is required, a number, and not negative: a
+    // missing one read as 0 would pass any wall-time tolerance.
+    const std::string stats =
+        "\"stats\": {\"ticks\": 42, \"events\": 7}";
+    for (const char *wall :
+         {"", "\"wall_ms\": -1, ", "\"wall_ms\": \"3\", ",
+          "\"wall_ms\": null, "}) {
+        try {
+            loadResults(doc("rnuma-sweep-results/v8", wall + stats));
+            ADD_FAILURE() << "cell " << wall << "accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("fig8/moldyn/t16"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
     // jobs must be an integer >= 1 (it decides whether wall times
-    // are comparable), and scale present, finite and positive.
+    // are comparable), scale present, finite and positive, and the
+    // figure's wall_ms present and not negative.
     for (const char *run :
          {"\"scale\": 0.05, \"jobs\": -1",
           "\"scale\": 0.05, \"jobs\": 0",
@@ -632,7 +653,11 @@ TEST(CompareGate, RejectsUnsupportedSchemaVersions)
           "\"scale\": 0.05", "\"jobs\": 1",
           "\"scale\": 0, \"jobs\": 1",
           "\"scale\": -0.1, \"jobs\": 1",
-          "\"scale\": \"0.05\", \"jobs\": 1"}) {
+          "\"scale\": \"0.05\", \"jobs\": 1",
+          "\"scale\": 0.05, \"jobs\": 1",
+          "\"scale\": 0.05, \"jobs\": 1, \"wall_ms\": -1",
+          "\"scale\": 0.05, \"jobs\": 1, \"wall_ms\": \"9\"",
+          "\"scale\": 0.05, \"jobs\": 1, \"wall_ms\": null"}) {
         try {
             loadResults(doc("rnuma-sweep-results/v8", cell, run));
             ADD_FAILURE() << run << " accepted";

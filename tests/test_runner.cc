@@ -98,12 +98,13 @@ TEST(ComparisonMatrixTest, SerialAndParallelAreBitIdentical)
 TEST(ComparisonMatrixTest, RegistryAppsAreDeterministicAcrossJobs)
 {
     // The differential-determinism safety net under the hot-path
-    // layout work (arena directory, SoA page cache, auto-sized
-    // calendar): every registered protocol on real application
-    // generators, serial vs jobs=4, must produce bit-identical
-    // RunStats — all 28 counters, via RunStats::operator== — at more
-    // than one scale, so a data-layout change that silently breaks
-    // reproducibility cannot land.
+    // layout work (arena directory, SoA page cache, inline event
+    // queue and L1 probe): every registered protocol on real
+    // application generators, serial vs jobs=4, must produce
+    // bit-identical RunStats — all 28 counters, via
+    // RunStats::operator== — at more than one scale, so a
+    // data-layout change that silently breaks reproducibility cannot
+    // land.
     Params p = test::smallParams();
     for (const char *app : {"barnes", "em3d", "moldyn"}) {
         for (double scale : {0.02, 0.05}) {
